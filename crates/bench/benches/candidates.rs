@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks for candidate generation (DESIGN.md §11):
-//! the persistent-lane incremental grouper vs the legacy full min-hash
-//! recompute, on a mid-run summary state, plus the one-time signature
-//! attachment cost the incremental path amortizes.
+//! the persistent-lane grouper on a mid-run summary state, plus the
+//! one-time signature attachment cost it amortizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -10,9 +9,7 @@ use std::hint::black_box;
 
 use pgs_core::cost::CostModel;
 use pgs_core::exec::Exec;
-use pgs_core::shingle::{
-    attach_signatures, candidate_groups, candidate_groups_incremental, ShingleParams,
-};
+use pgs_core::shingle::{attach_signatures, candidate_groups_incremental, ShingleParams};
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
 use pgs_graph::gen::barabasi_albert;
@@ -22,7 +19,7 @@ const LANES: usize = 16;
 
 /// A summary state mid-run: every even singleton merged with its odd
 /// neighbor id, so signatures span multiple members and live traversal
-/// skips dead slots — the regime both groupers actually see.
+/// skips dead slots — the regime the grouper actually sees.
 fn premerged<'a>(g: &'a Graph, w: &'a NodeWeights, pairs: u32) -> WorkingSummary<'a> {
     let mut ws = WorkingSummary::new(g, w, CostModel::ErrorCorrection);
     let mut scratch = Scratch::default();
@@ -42,21 +39,15 @@ fn bench_candidates(c: &mut Criterion) {
     let mut ws = premerged(&g, &w, 2_000);
     attach_signatures(&mut ws, 42, LANES, &Exec::serial());
     let params = ShingleParams::default();
-    let gains = vec![0.0f64; g.num_nodes()];
     let exec = Exec::serial();
-
-    c.bench_function("candidates/recompute", |b| {
-        let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| black_box(candidate_groups(&ws, &mut rng, &params, &exec)))
-    });
 
     c.bench_function("candidates/incremental", |b| {
         let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| black_box(candidate_groups_incremental(&ws, &mut rng, &params, &gains)))
+        b.iter(|| black_box(candidate_groups_incremental(&ws, &mut rng, &params)))
     });
 
-    // The one-time cost the incremental path pays at run start (and on
-    // resume) instead of a fresh min-hash pass every iteration.
+    // The one-time cost paid at run start (and on resume) instead of a
+    // fresh min-hash pass every iteration.
     c.bench_function("candidates/attach_signatures", |b| {
         b.iter(|| {
             attach_signatures(&mut ws, 42, LANES, &exec);

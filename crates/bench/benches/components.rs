@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use pgs_core::cost::CostModel;
 use pgs_core::error::personalized_error;
-use pgs_core::shingle::{candidate_groups, ShingleParams};
+use pgs_core::shingle::{attach_signatures, candidate_groups_incremental, ShingleParams};
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
 use pgs_core::{summarize, PegasusConfig};
@@ -30,11 +30,11 @@ fn bench_components(c: &mut Criterion) {
     });
 
     c.bench_function("shingle/candidate_groups_10k", |b| {
-        let ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
+        let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         let params = ShingleParams::default();
+        attach_signatures(&mut ws, 3, params.depth, &pgs_core::exec::Exec::serial());
         let mut rng = StdRng::seed_from_u64(3);
-        let exec = pgs_core::exec::Exec::serial();
-        b.iter(|| black_box(candidate_groups(&ws, &mut rng, &params, &exec)))
+        b.iter(|| black_box(candidate_groups_incremental(&ws, &mut rng, &params)))
     });
 
     c.bench_function("merge/eval_merge_pair", |b| {

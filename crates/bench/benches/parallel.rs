@@ -1,6 +1,7 @@
 //! Criterion benchmark for the parallel evaluate/commit engine:
 //! end-to-end `summarize` at 1, 2, and `available_parallelism` worker
-//! threads, plus the parallel candidate-generation phase in isolation.
+//! threads, plus the parallel signature-bank build (the parallel part
+//! of candidate generation) in isolation.
 //! On a multi-core box the N-thread rows should show the speedup; on a
 //! single core they bound the engine's coordination overhead (the rows
 //! should be within a few percent of each other).
@@ -10,12 +11,10 @@ use std::hint::black_box;
 
 use pgs_core::exec::Exec;
 use pgs_core::pegasus::{summarize, PegasusConfig};
-use pgs_core::shingle::{candidate_groups, ShingleParams};
+use pgs_core::shingle::attach_signatures;
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::WorkingSummary;
 use pgs_graph::gen::barabasi_albert;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn thread_counts() -> Vec<usize> {
     let hw = rayon::current_num_threads();
@@ -43,15 +42,16 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 
     let w = NodeWeights::personalized(&g, &[0, 1], 1.25);
-    let ws = WorkingSummary::new(&g, &w, pgs_core::cost::CostModel::ErrorCorrection);
-    let mut group = c.benchmark_group("parallel_candidate_groups_10k");
+    let mut ws = WorkingSummary::new(&g, &w, pgs_core::cost::CostModel::ErrorCorrection);
+    let mut group = c.benchmark_group("parallel_attach_signatures_10k");
     group.sample_size(10);
     for threads in thread_counts() {
         let exec = Exec::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &exec, |b, exec| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let params = ShingleParams::default();
-            b.iter(|| black_box(candidate_groups(&ws, &mut rng, &params, exec)))
+            b.iter(|| {
+                attach_signatures(&mut ws, 3, 10, exec);
+                black_box(ws.signature_lanes())
+            })
         });
     }
     group.finish();

@@ -1,16 +1,15 @@
 //! Merge-evaluation throughput experiment: summarizes a generated
-//! Barabási–Albert graph with all three evaluators — `cached` (the
-//! group-local superedge-weight cache of DESIGN.md §7, the default),
-//! `scan` (canonical-order member-edge rescans), and `legacy_hash` (the
-//! pre-cache hashmap evaluator) — and writes a machine-readable
-//! `BENCH_summarize.json` with merge-evals/sec and end-to-end wall time
-//! for each, plus the cached-vs-legacy speedup, so future PRs can track
-//! the perf trajectory. Output identity across evaluators is measured
-//! and *reported* (`scan_output_identical_to_cached`,
-//! `legacy_hash_output_identical_to_cached`), not asserted — the
-//! fixed-seed suite in `crates/core/tests/eval_equivalence.rs` is the
-//! equivalence regression gate. The only hard assertion here is
-//! cross-repetition determinism per evaluator.
+//! Barabási–Albert graph with both evaluators — `cached` (the
+//! group-local superedge-weight cache of DESIGN.md §7, the default) and
+//! `scan` (canonical-order member-edge rescans, the equivalence
+//! oracle) — and writes a machine-readable `BENCH_summarize.json` with
+//! merge-evals/sec and end-to-end wall time for each, plus the
+//! cached-vs-scan speedup. Output identity across evaluators is
+//! measured and *reported* (`scan_output_identical_to_cached`), not
+//! asserted — the fixed-seed suite in
+//! `crates/core/tests/eval_equivalence.rs` is the equivalence
+//! regression gate. The only hard assertion here is cross-repetition
+//! determinism per evaluator.
 //!
 //! ```text
 //! cargo run --release --bin exp_summarize [-- <out.json>]
@@ -72,26 +71,22 @@ fn main() {
         rayon::current_num_threads()
     );
 
-    // Three evaluators: `cached` (the default), `scan` (dense scratch,
+    // Two evaluators: `cached` (the default) and `scan` (dense scratch,
     // canonical order — byte-identical to cached in every regime
-    // measured; pinned on fixed seeds by eval_equivalence.rs), and
-    // `legacy_hash` (the pre-cache hashmap evaluator — the speedup
-    // baseline; decision-equivalent per evaluation but summed in hash
-    // order, so its end-to-end output diverges by design).
+    // measured; pinned on fixed seeds by eval_equivalence.rs).
     //
-    // Repetitions are *interleaved* (cached, scan, legacy, cached, …)
+    // Repetitions are *interleaved* (cached, scan, cached, …)
     // and each evaluator reports its fastest rep: on a shared box where
     // load drifts over minutes, interleaving exposes every evaluator to
     // the same conditions, and best-of-N discards the stolen-CPU
     // samples. Summaries must not vary across reps — the engine is
     // deterministic, so any variation is a bug.
-    const EVALUATORS: [(&str, MergeEvaluator); 3] = [
+    const EVALUATORS: [(&str, MergeEvaluator); 2] = [
         ("cached", MergeEvaluator::Cached),
         ("scan", MergeEvaluator::Scan),
-        ("legacy_hash", MergeEvaluator::LegacyHash),
     ];
-    let mut best: [Option<(Summary, RunStats, StopReason)>; 3] = [None, None, None];
-    let mut walls = [f64::INFINITY; 3];
+    let mut best: [Option<(Summary, RunStats, StopReason)>; 2] = [None, None];
+    let mut walls = [f64::INFINITY; 2];
     for _ in 0..reps {
         for (slot, &(label, evaluator)) in EVALUATORS.iter().enumerate() {
             let alg = Pegasus(PegasusConfig {
@@ -125,18 +120,17 @@ fn main() {
     let mut reference: Option<Vec<u32>> = None;
     // Scan-vs-cached identity holds on every graph we've measured, but
     // DESIGN.md §7 documents a legitimate ulp-level escape hatch after
-    // intra-group merges — so both identity flags are *reported*, not
+    // intra-group merges — so the identity flag is *reported*, not
     // asserted (the fixed-seed tests in eval_equivalence.rs are the
-    // regression gate). Legacy diverges by design (hash-order sums).
+    // regression gate).
     let mut scan_identical = true;
-    let mut legacy_identical = true;
-    for (slot, &(label, evaluator)) in EVALUATORS.iter().enumerate() {
+    for (slot, &(label, _)) in EVALUATORS.iter().enumerate() {
         let (summary, stats, stop) = best[slot].take().expect("reps >= 1");
         let wall_secs = walls[slot];
         let fp = fingerprint(&summary);
         match &reference {
             None => reference = Some(fp),
-            Some(r) if evaluator == MergeEvaluator::Scan => {
+            Some(r) => {
                 scan_identical = *r == fp;
                 if !scan_identical {
                     eprintln!(
@@ -146,7 +140,6 @@ fn main() {
                     );
                 }
             }
-            Some(r) => legacy_identical = *r == fp,
         }
         let run = Run {
             label,
@@ -167,14 +160,12 @@ fn main() {
         runs.push(run);
     }
 
-    let cached = &runs[0];
-    let legacy = &runs[2];
-    let speedup_evals = cached.evals_per_sec() / legacy.evals_per_sec();
-    let speedup_wall = legacy.wall_secs / cached.wall_secs;
+    let (cached, scan) = (&runs[0], &runs[1]);
+    let speedup_evals = cached.evals_per_sec() / scan.evals_per_sec();
+    let speedup_wall = scan.wall_secs / cached.wall_secs;
     eprintln!(
-        "# speedup vs legacy_hash: {speedup_evals:.2}x merge-evals/sec, \
-         {speedup_wall:.2}x end-to-end wall time \
-         (legacy output identical: {legacy_identical})"
+        "# speedup vs scan: {speedup_evals:.2}x merge-evals/sec, \
+         {speedup_wall:.2}x end-to-end wall time"
     );
 
     // Hand-rolled JSON (the workspace is offline — no serde).
@@ -199,11 +190,6 @@ fn main() {
     writeln!(
         json,
         "  \"scan_output_identical_to_cached\": {scan_identical},"
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"legacy_hash_output_identical_to_cached\": {legacy_identical},"
     )
     .unwrap();
     writeln!(json, "  \"runs\": [").unwrap();

@@ -5,8 +5,7 @@ use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
 use pgs_core::exec::Exec;
 use pgs_core::pegasus::PegasusConfig;
 use pgs_core::summary_io::{read_summary, write_summary};
-use pgs_core::working::MergeEvaluator;
-use pgs_core::{CandidateGen, SsummConfig};
+use pgs_core::SsummConfig;
 use pgs_graph::io::read_edge_list;
 use pgs_graph::traverse::effective_diameter;
 use pgs_graph::Graph;
@@ -28,8 +27,6 @@ USAGE:
                 [--targets 1,2,3] [--alpha 1.25] [--beta 0.1] [--seed 0]
                 [--deadline-secs T]   (stop at the next commit boundary past T)
                 [--threads N]   (0 = all hardware threads; same output at any N)
-                [--evaluator cached|scan|legacy]   (non-default = baseline evaluators)
-                [--candidate-gen incremental|recompute]   (default incremental)
   pgs query <out.summary> --type rwr|hop|php|pagerank --node <q> [--top 10]
             [--truth <edges.txt>]
   pgs query <out.summary> --type rwr|hop|php (--nodes <ids.txt> | --sample <k>)
@@ -225,27 +222,12 @@ pub fn summarize(raw: &[String]) -> Result<(), String> {
 }
 
 /// Builds the `--algorithm` summarizer from the shared flag set
-/// (`--alpha`, `--beta`, `--tmax`, `--seed`, `--threads`,
-/// `--evaluator`, `--candidate-gen`; `--method` stays as an alias of
-/// `--algorithm`). Shared by `summarize` and `serve`.
+/// (`--alpha`, `--beta`, `--tmax`, `--seed`, `--threads`; `--method`
+/// stays as an alias of `--algorithm`). Shared by `summarize` and
+/// `serve`.
 fn build_algorithm(args: &Args) -> Result<Box<dyn Summarizer + Send + Sync>, String> {
     let seed: u64 = args.get_parse("seed", 0)?;
     let num_threads: usize = args.get_parse("threads", 0)?;
-    let evaluator = match args.get("evaluator").unwrap_or("cached") {
-        "cached" => MergeEvaluator::Cached,
-        "scan" => MergeEvaluator::Scan,
-        "legacy" => MergeEvaluator::LegacyHash,
-        other => return Err(format!("unknown evaluator {other:?} (cached|scan|legacy)")),
-    };
-    let candidate_gen = match args.get("candidate-gen").unwrap_or("incremental") {
-        "incremental" => CandidateGen::Incremental,
-        "recompute" => CandidateGen::Recompute,
-        other => {
-            return Err(format!(
-                "unknown candidate generator {other:?} (incremental|recompute)"
-            ))
-        }
-    };
     let algorithm = args
         .get("algorithm")
         .or_else(|| args.get("method"))
@@ -257,16 +239,12 @@ fn build_algorithm(args: &Args) -> Result<Box<dyn Summarizer + Send + Sync>, Str
             t_max: args.get_parse("tmax", 20)?,
             seed,
             num_threads,
-            evaluator,
-            candidate_gen,
             ..Default::default()
         })),
         "ssumm" => Box::new(Ssumm(SsummConfig {
             t_max: args.get_parse("tmax", 20)?,
             seed,
             num_threads,
-            evaluator,
-            candidate_gen,
             ..Default::default()
         })),
         "kgrass" => Box::new(KGrass(KGrassConfig {

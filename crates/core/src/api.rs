@@ -64,8 +64,8 @@ use std::time::{Duration, Instant};
 
 use crate::checkpoint::{CheckpointError, RunCheckpoint};
 use crate::fault::FaultPlan;
-use crate::pegasus::{pegasus_loop, PegasusConfig, RunStats};
-use crate::ssumm::{ssumm_loop, SsummConfig};
+use crate::pegasus::{merge_loop, LoopKind, PegasusConfig, RunStats};
+use crate::ssumm::SsummConfig;
 use crate::summary::Summary;
 use crate::weights::NodeWeights;
 use pgs_graph::{Graph, NodeId};
@@ -745,9 +745,16 @@ impl Summarizer for Pegasus {
         let budget_bits = req.budget().to_bits(g, self.name())?;
         let weights = req.resolve_weights(g, cfg.alpha)?;
         let control = req.control_ref();
-        let resume = control.decode_resume(crate::checkpoint::ALGO_PEGASUS, g.num_nodes())?;
-        let (summary, stats, stop) =
-            pegasus_loop(g, &weights, budget_bits, cfg, control, resume.as_ref());
+        let resume = control.decode_resume(LoopKind::PEGASUS.algorithm, g.num_nodes())?;
+        let (summary, stats, stop) = merge_loop(
+            g,
+            &weights,
+            budget_bits,
+            cfg,
+            LoopKind::PEGASUS,
+            control,
+            resume.as_ref(),
+        );
         Ok(finish_run(g, summary, stats, stop))
     }
 }
@@ -769,8 +776,17 @@ impl Summarizer for Ssumm {
         req.require_uniform(self.name())?;
         let budget_bits = req.budget().to_bits(g, self.name())?;
         let control = req.control_ref();
-        let resume = control.decode_resume(crate::checkpoint::ALGO_SSUMM, g.num_nodes())?;
-        let (summary, stats, stop) = ssumm_loop(g, budget_bits, &self.0, control, resume.as_ref());
+        let resume = control.decode_resume(LoopKind::SSUMM.algorithm, g.num_nodes())?;
+        let weights = NodeWeights::uniform(g.num_nodes());
+        let (summary, stats, stop) = merge_loop(
+            g,
+            &weights,
+            budget_bits,
+            &self.0.engine(),
+            LoopKind::SSUMM,
+            control,
+            resume.as_ref(),
+        );
         Ok(finish_run(g, summary, stats, stop))
     }
 }

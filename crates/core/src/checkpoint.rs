@@ -30,7 +30,7 @@
 //! [`accumulate_edge_weights_view`'s]: crate::working::eval_merge_view
 
 use crate::cost::CostModel;
-use crate::pegasus::RunStats;
+use crate::pegasus::{PhaseTimings, RunStats};
 use crate::summary::{Summary, SuperId};
 use crate::weights::NodeWeights;
 use crate::working::WorkingSummary;
@@ -42,14 +42,11 @@ pub const ALGO_PEGASUS: u8 = 1;
 pub const ALGO_SSUMM: u8 = 2;
 
 const MAGIC: [u8; 4] = *b"PGSC";
-/// Format version. Each version appends a trailing section to its
-/// predecessor, so older blobs remain decodable with the newer fields
-/// defaulted: version 2 added candidate-generation stats + per-
-/// supernode gain EMAs for the incremental candidate path, version 3
-/// adds the remaining [`PhaseTimings`](crate::pegasus::PhaseTimings)
-/// words (commit / sparsify seconds). A vN blob is byte-for-byte a
-/// v(N+1) blob minus that version's trailing section.
-const VERSION: u16 = 3;
+/// Format version — the only one [`RunCheckpoint::decode`] accepts.
+/// Earlier versions carried per-supernode scheduler state this engine
+/// no longer has; rather than guess at their fields, every other
+/// version is rejected as [`CheckpointError::Corrupt`].
+pub const VERSION: u16 = 4;
 
 /// Deterministic per-iteration seed derivation: iteration `t` of a run
 /// seeded with `seed` draws every random decision (shingle hashes,
@@ -129,21 +126,15 @@ pub struct RunCheckpoint {
     /// Live supernodes, ascending by id.
     pub supers: Vec<SuperRecord>,
     /// Superedges as sorted `(min, max)` pairs, self-loops as `(s, s)`.
+    ///
+    /// The signature bank is *not* stored: it is a pure function of
+    /// `(graph, seed, partition)` and is rebuilt on resume (composition
+    /// under union, DESIGN.md §11).
     pub superedges: Vec<(SuperId, SuperId)>,
-    /// Per-supernode gain EMAs of the incremental candidate scheduler,
-    /// as raw f64 bits aligned with `supers`. Empty when the run uses
-    /// the recompute path (or the blob predates version 2). The
-    /// signature bank itself is *not* stored: it is a pure function of
-    /// `(graph, seed, partition)` and is rebuilt on resume
-    /// (composition under union, DESIGN.md §11).
-    pub gains: Vec<u64>,
 }
 
 impl RunCheckpoint {
     /// Snapshots a live [`WorkingSummary`] plus the driver scalars.
-    /// `gains` carries the incremental candidate scheduler's
-    /// per-supernode EMAs (indexed by supernode id; `None` for the
-    /// recompute path).
     pub fn capture(
         algorithm: u8,
         next_iteration: u64,
@@ -151,15 +142,9 @@ impl RunCheckpoint {
         stall_cap: f64,
         stats: RunStats,
         ws: &WorkingSummary<'_>,
-        gains: Option<&[f64]>,
     ) -> Self {
         let mut supers = Vec::with_capacity(ws.num_supernodes());
         let mut superedges = Vec::with_capacity(ws.num_superedges());
-        let mut gain_bits = Vec::with_capacity(if gains.is_some() {
-            ws.num_supernodes()
-        } else {
-            0
-        });
         for s in ws.live_iter() {
             supers.push(SuperRecord {
                 id: s,
@@ -172,9 +157,6 @@ impl RunCheckpoint {
                     superedges.push((s, x));
                 }
             }
-            if let Some(g) = gains {
-                gain_bits.push(g[s as usize].to_bits());
-            }
         }
         superedges.sort_unstable();
         RunCheckpoint {
@@ -186,21 +168,7 @@ impl RunCheckpoint {
             stats,
             supers,
             superedges,
-            gains: gain_bits,
         }
-    }
-
-    /// Expands the stored gain EMAs back to the id-indexed vector the
-    /// drivers maintain. Slots of dead (or never-stored) supernodes are
-    /// zero — they are never read, since candidate groups only contain
-    /// live supernodes, so a resumed run's schedule is bit-identical to
-    /// the uninterrupted one.
-    pub fn restore_gains(&self, num_nodes: usize) -> Vec<f64> {
-        let mut gains = vec![0.0; num_nodes];
-        for (rec, &bits) in self.supers.iter().zip(&self.gains) {
-            gains[rec.id as usize] = f64::from_bits(bits);
-        }
-        gains
     }
 
     /// Rebuilds the [`WorkingSummary`] this checkpoint describes.
@@ -281,9 +249,14 @@ impl RunCheckpoint {
         buf.extend_from_slice(&self.stats.final_theta.to_bits().to_le_bytes());
         buf.push(self.stats.sparsified as u8);
         buf.extend_from_slice(&self.stats.evals.to_le_bytes());
-        buf.extend_from_slice(&self.stats.phases.evaluate.to_bits().to_le_bytes());
         buf.extend_from_slice(&self.stats.checkpoints.to_le_bytes());
         buf.extend_from_slice(&self.stats.checkpoint_failures.to_le_bytes());
+        buf.extend_from_slice(&self.stats.groups.to_le_bytes());
+        buf.extend_from_slice(&self.stats.grouped_supernodes.to_le_bytes());
+        let p = &self.stats.phases;
+        for secs in [p.candidates, p.evaluate, p.commit, p.sparsify] {
+            buf.extend_from_slice(&secs.to_bits().to_le_bytes());
+        }
         buf.extend_from_slice(&(self.supers.len() as u32).to_le_bytes());
         for rec in &self.supers {
             buf.extend_from_slice(&rec.id.to_le_bytes());
@@ -299,20 +272,6 @@ impl RunCheckpoint {
             buf.extend_from_slice(&a.to_le_bytes());
             buf.extend_from_slice(&b.to_le_bytes());
         }
-        // Version-2 trailing section: candidate-generation stats and the
-        // incremental scheduler's gain EMAs (absent for the recompute
-        // path). Everything above is byte-identical to the v1 layout.
-        buf.extend_from_slice(&self.stats.phases.candidates.to_bits().to_le_bytes());
-        buf.extend_from_slice(&self.stats.groups.to_le_bytes());
-        buf.extend_from_slice(&self.stats.grouped_supernodes.to_le_bytes());
-        buf.extend_from_slice(&(self.gains.len() as u32).to_le_bytes());
-        for &bits in &self.gains {
-            buf.extend_from_slice(&bits.to_le_bytes());
-        }
-        // Version-3 trailing section: the remaining per-phase wall
-        // words of the profiling taxonomy (DESIGN.md §14).
-        buf.extend_from_slice(&self.stats.phases.commit.to_bits().to_le_bytes());
-        buf.extend_from_slice(&self.stats.phases.sparsify.to_bits().to_le_bytes());
         buf
     }
 
@@ -320,7 +279,8 @@ impl RunCheckpoint {
     /// [`RunCheckpoint::encode`]: the member lists must partition
     /// `0..num_nodes`, supernode ids must be unique members of
     /// themselves, and superedges must be sorted unique `(min, max)`
-    /// pairs between live supernodes.
+    /// pairs between live supernodes. Any version other than
+    /// [`VERSION`] is [`CheckpointError::Corrupt`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(4)?;
@@ -328,7 +288,7 @@ impl RunCheckpoint {
             return Err(CheckpointError::Corrupt("bad magic".into()));
         }
         let version = r.u16()?;
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(CheckpointError::Corrupt(format!(
                 "unsupported checkpoint version {version}"
             )));
@@ -358,17 +318,23 @@ impl RunCheckpoint {
         let next_iteration = r.u64()?;
         let theta_bits = r.u64()?;
         let stall_cap_bits = r.u64()?;
-        let mut stats = RunStats {
+        let stats = RunStats {
             iterations: r.u64()? as usize,
             merges: r.u64()? as usize,
             final_theta: f64::from_bits(r.u64()?),
             sparsified: r.u8()? != 0,
             evals: r.u64()?,
-            ..RunStats::default()
+            checkpoints: r.u64()?,
+            checkpoint_failures: r.u64()?,
+            groups: r.u64()?,
+            grouped_supernodes: r.u64()?,
+            phases: PhaseTimings {
+                candidates: f64::from_bits(r.u64()?),
+                evaluate: f64::from_bits(r.u64()?),
+                commit: f64::from_bits(r.u64()?),
+                sparsify: f64::from_bits(r.u64()?),
+            },
         };
-        stats.phases.evaluate = f64::from_bits(r.u64()?);
-        stats.checkpoints = r.u64()?;
-        stats.checkpoint_failures = r.u64()?;
         let num_supers = r.u32()? as usize;
         if num_supers == 0 || num_supers > num_nodes as usize {
             return Err(CheckpointError::Corrupt(format!(
@@ -454,33 +420,6 @@ impl RunCheckpoint {
             prev_edge = Some((a, b));
             superedges.push((a, b));
         }
-        // Version-2 trailing section; a v1 blob simply ends here.
-        let mut gains = Vec::new();
-        if version >= 2 {
-            stats.phases.candidates = f64::from_bits(r.u64()?);
-            stats.groups = r.u64()?;
-            stats.grouped_supernodes = r.u64()?;
-            let gain_count = r.u32()? as usize;
-            if gain_count != 0 && gain_count != supers.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "gain count {gain_count} does not match {} supernodes",
-                    supers.len()
-                )));
-            }
-            gains.reserve(gain_count);
-            for _ in 0..gain_count {
-                let bits = r.u64()?;
-                if !f64::from_bits(bits).is_finite() {
-                    return Err(CheckpointError::Corrupt("non-finite gain EMA".into()));
-                }
-                gains.push(bits);
-            }
-        }
-        // Version-3 trailing section; a v2 blob simply ends here.
-        if version >= 3 {
-            stats.phases.commit = f64::from_bits(r.u64()?);
-            stats.phases.sparsify = f64::from_bits(r.u64()?);
-        }
         if r.pos != r.bytes.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "{} trailing bytes",
@@ -496,7 +435,6 @@ impl RunCheckpoint {
             stats,
             supers,
             superedges,
-            gains,
         })
     }
 }
@@ -559,6 +497,8 @@ mod tests {
             iterations: 3,
             merges: 2,
             evals: 17,
+            groups: 5,
+            grouped_supernodes: 40,
             phases: crate::pegasus::PhaseTimings {
                 candidates: 0.5,
                 evaluate: 1.25,
@@ -567,18 +507,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut gains = vec![0.0; g.num_nodes()];
-        gains[0] = 0.75;
-        gains[4] = 1.5;
-        let ck = RunCheckpoint::capture(
-            ALGO_PEGASUS,
-            4,
-            0.25,
-            f64::INFINITY,
-            stats,
-            &ws,
-            Some(&gains),
-        );
+        let ck = RunCheckpoint::capture(ALGO_PEGASUS, 4, 0.25, f64::INFINITY, stats, &ws);
         (g, w, ck)
     }
 
@@ -593,108 +522,11 @@ mod tests {
         assert_eq!(decoded.stall_cap_bits, ck.stall_cap_bits);
         assert_eq!(decoded.stats.iterations, 3);
         assert_eq!(decoded.stats.evals, 17);
+        assert_eq!(decoded.stats.groups, 5);
+        assert_eq!(decoded.stats.grouped_supernodes, 40);
         assert_eq!(decoded.stats.phases, ck.stats.phases);
         assert_eq!(decoded.supers, ck.supers);
         assert_eq!(decoded.superedges, ck.superedges);
-        assert_eq!(decoded.gains, ck.gains);
-    }
-
-    #[test]
-    fn gains_roundtrip_through_restore() {
-        let (g, _, ck) = sample_checkpoint();
-        let decoded = RunCheckpoint::decode(&ck.encode()).unwrap();
-        let gains = decoded.restore_gains(g.num_nodes());
-        assert_eq!(gains[0], 0.75);
-        assert_eq!(gains[4], 1.5);
-        // Dead slots (merged-away ids) come back zero.
-        assert_eq!(gains[1], 0.0);
-        assert_eq!(gains[5], 0.0);
-    }
-
-    #[test]
-    fn recompute_path_stores_no_gains() {
-        let g = barabasi_albert(40, 3, 2);
-        let w = NodeWeights::uniform(g.num_nodes());
-        let ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let ck = RunCheckpoint::capture(
-            ALGO_PEGASUS,
-            2,
-            0.5,
-            f64::INFINITY,
-            RunStats::default(),
-            &ws,
-            None,
-        );
-        let decoded = RunCheckpoint::decode(&ck.encode()).unwrap();
-        assert!(decoded.gains.is_empty());
-        assert!(decoded.restore_gains(40).iter().all(|&g| g == 0.0));
-    }
-
-    /// Bytes of the v3 trailing section (commit + sparsify bits).
-    const V3_TRAIL: usize = 8 + 8;
-
-    #[test]
-    fn version_1_blobs_still_decode() {
-        // A v1 blob is byte-for-byte a v3 blob minus both trailing
-        // sections: splice one together and check the new fields
-        // default.
-        let (_, _, ck) = sample_checkpoint();
-        let v3 = ck.encode();
-        let trail = V3_TRAIL + 8 + 8 + 8 + 4 + 8 * ck.gains.len();
-        let mut v1 = v3[..v3.len() - trail].to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let decoded = RunCheckpoint::decode(&v1).unwrap();
-        assert_eq!(decoded.supers, ck.supers);
-        assert_eq!(decoded.superedges, ck.superedges);
-        assert!(decoded.gains.is_empty());
-        assert_eq!(decoded.stats.phases.candidates, 0.0);
-        assert_eq!(decoded.stats.groups, 0);
-        // ...but a v1-tagged blob *with* the trailing sections is
-        // corrupt.
-        let mut bad = v3.clone();
-        bad[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            RunCheckpoint::decode(&bad),
-            Err(CheckpointError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn version_2_blobs_still_decode() {
-        // A v2 blob is a v3 blob minus the commit/sparsify words: the
-        // v2 fields survive, the v3-only phases default to zero.
-        let (_, _, ck) = sample_checkpoint();
-        let v3 = ck.encode();
-        let mut v2 = v3[..v3.len() - V3_TRAIL].to_vec();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let decoded = RunCheckpoint::decode(&v2).unwrap();
-        assert_eq!(decoded.supers, ck.supers);
-        assert_eq!(decoded.gains, ck.gains);
-        assert_eq!(decoded.stats.phases.candidates, 0.5);
-        assert_eq!(decoded.stats.phases.evaluate, 1.25);
-        assert_eq!(decoded.stats.phases.commit, 0.0);
-        assert_eq!(decoded.stats.phases.sparsify, 0.0);
-        // ...and a v2-tagged blob carrying the v3 words is corrupt.
-        let mut bad = v3.clone();
-        bad[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert!(matches!(
-            RunCheckpoint::decode(&bad),
-            Err(CheckpointError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn mismatched_gain_count_is_corrupt() {
-        let (_, _, ck) = sample_checkpoint();
-        let mut blob = ck.encode();
-        // The gain count lives V3_TRAIL + 4 + 8·|gains| bytes from the
-        // end.
-        let pos = blob.len() - V3_TRAIL - 4 - 8 * ck.gains.len();
-        blob[pos..pos + 4].copy_from_slice(&((ck.gains.len() as u32) - 1).to_le_bytes());
-        assert!(matches!(
-            RunCheckpoint::decode(&blob),
-            Err(CheckpointError::Corrupt(_))
-        ));
     }
 
     #[test]
@@ -748,6 +580,18 @@ mod tests {
             RunCheckpoint::decode(&trailing),
             Err(CheckpointError::Corrupt(_))
         ));
+        // Only the current version decodes.
+        for version in [0u16, 1, 2, 3, 5, u16::MAX] {
+            let mut other = good.clone();
+            other[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    RunCheckpoint::decode(&other),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "version {version} must not decode"
+            );
+        }
     }
 
     #[test]

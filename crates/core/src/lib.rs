@@ -59,7 +59,6 @@ pub mod cost;
 pub mod error;
 pub mod exec;
 pub mod fault;
-pub mod legacy_eval;
 pub mod pegasus;
 pub mod shingle;
 pub mod sparsify;
@@ -77,7 +76,6 @@ pub use api::{
 pub use checkpoint::{CheckpointError, RunCheckpoint};
 pub use fault::FaultPlan;
 pub use pegasus::{summarize, PegasusConfig};
-pub use shingle::CandidateGen;
 pub use ssumm::{ssumm_summarize, SsummConfig};
 pub use summary::{Summary, SuperId};
 pub use weights::NodeWeights;

@@ -1,9 +1,12 @@
-//! The PeGaSus driver (Alg. 1), parallel evaluate/commit edition.
+//! The Alg.-1 driver, parallel evaluate/commit edition — one loop for
+//! both PeGaSus and SSumM.
 //!
 //! Repeats candidate generation (Sect. III-C) and within-group greedy
-//! merging (Sect. III-D) with an adaptively decaying threshold
-//! (Sect. III-E) until the summary fits the bit budget or `t_max`
-//! iterations elapse, then sparsifies (Sect. III-F) if needed.
+//! merging (Sect. III-D) under a threshold policy until the summary
+//! fits the bit budget or `t_max` iterations elapse, then sparsifies
+//! (Sect. III-F) if needed. PeGaSus decays its threshold adaptively
+//! (Sect. III-E); SSumM (Sect. III-G, [`crate::ssumm`]) runs the same
+//! loop with a fixed schedule and its own cost model ([`LoopKind`]).
 //!
 //! Each iteration fans out across [`PegasusConfig::num_threads`] workers:
 //! candidate groups are disjoint supernode sets, so their Alg.-2 rounds
@@ -18,16 +21,13 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::api::{RunControl, StopReason};
-use crate::checkpoint::{iteration_seed, RunCheckpoint, ALGO_PEGASUS};
+use crate::checkpoint::{iteration_seed, RunCheckpoint, ALGO_PEGASUS, ALGO_SSUMM};
 use crate::cost::CostModel;
 use crate::exec::Exec;
-use crate::shingle::{
-    attach_signatures, candidate_groups, candidate_groups_incremental, lane_count, CandidateGen,
-    ShingleParams,
-};
+use crate::shingle::{attach_signatures, candidate_groups_incremental, lane_count, ShingleParams};
 use crate::sparsify::sparsify;
-use crate::summary::Summary;
-use crate::threshold::AdaptiveThreshold;
+use crate::summary::{Summary, SuperId};
+use crate::threshold::{ssumm_schedule, AdaptiveThreshold};
 use crate::weights::NodeWeights;
 use crate::working::{evaluate_group_with, MergeEvaluator, Scratch, WorkingSummary};
 use pgs_graph::{Graph, NodeId};
@@ -55,14 +55,9 @@ pub struct PegasusConfig {
     /// The output is identical at any setting; only wall-clock changes.
     pub num_threads: usize,
     /// Which merge evaluator prices candidate pairs: the group-local
-    /// weight-vector cache (default) or the legacy member-edge scan
-    /// (kept as the benchmark / equivalence baseline, DESIGN.md §7).
+    /// weight-vector cache (default) or the member-edge scan (kept as
+    /// the bitwise equivalence oracle, DESIGN.md §7).
     pub evaluator: MergeEvaluator,
-    /// Which candidate generator forms the per-iteration groups: the
-    /// persistent-signature incremental path (default) or the legacy
-    /// per-iteration recompute (kept as the oracle / bench baseline,
-    /// DESIGN.md §11).
-    pub candidate_gen: CandidateGen,
 }
 
 impl Default for PegasusConfig {
@@ -77,7 +72,6 @@ impl Default for PegasusConfig {
             use_absolute_cost: false,
             num_threads: 0,
             evaluator: MergeEvaluator::default(),
-            candidate_gen: CandidateGen::default(),
         }
     }
 }
@@ -101,9 +95,8 @@ pub struct PhaseTimings {
     /// Parallel merge evaluation (Sect. III-D) — the denominator of
     /// the merge-evals/sec throughput metric.
     pub evaluate: f64,
-    /// Serial commit of the merge logs (threshold folds and gain-EMA
-    /// updates included — everything between evaluate and the
-    /// iteration boundary).
+    /// Serial commit of the merge logs (threshold folds included —
+    /// everything between evaluate and the iteration boundary).
     pub commit: f64,
     /// Final sparsification (Sect. III-F), zero when the budget was
     /// met by merging alone.
@@ -128,7 +121,8 @@ impl std::ops::AddAssign for PhaseTimings {
     }
 }
 
-/// Summary statistics of a PeGaSus run (for experiments and logging).
+/// Summary statistics of a PeGaSus or SSumM run (for experiments and
+/// logging).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunStats {
     /// Iterations executed.
@@ -201,13 +195,58 @@ pub fn summarize_with_weights(
     budget_bits: f64,
     cfg: &PegasusConfig,
 ) -> (Summary, RunStats) {
-    let (summary, stats, _) =
-        pegasus_loop(g, weights, budget_bits, cfg, &RunControl::default(), None);
+    let (summary, stats, _) = merge_loop(
+        g,
+        weights,
+        budget_bits,
+        cfg,
+        LoopKind::PEGASUS,
+        &RunControl::default(),
+        None,
+    );
     (summary, stats)
 }
 
+/// How the driver sets the merge threshold `θ` of each iteration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ThresholdPolicy {
+    /// PeGaSus (Sect. III-E): start at 0.5, then take the
+    /// `⌊β·|L|⌋`-th largest rejected reduction, with `β` =
+    /// [`PegasusConfig::beta`], capped by the stall guard.
+    Adaptive,
+    /// SSumM (Sect. III-G): the fixed schedule [`ssumm_schedule`].
+    Schedule,
+}
+
+/// What sets one instance of the Alg.-1 loop apart from another: the
+/// per-pair cost model, the threshold policy, and the algorithm tag
+/// stamped into (and checked against) checkpoints.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LoopKind {
+    pub model: CostModel,
+    pub threshold: ThresholdPolicy,
+    pub algorithm: u8,
+}
+
+impl LoopKind {
+    /// PeGaSus: error-correction encoding, adaptive threshold.
+    pub const PEGASUS: LoopKind = LoopKind {
+        model: CostModel::ErrorCorrection,
+        threshold: ThresholdPolicy::Adaptive,
+        algorithm: ALGO_PEGASUS,
+    };
+    /// SSumM: the better of two encodings, fixed schedule.
+    pub const SSUMM: LoopKind = LoopKind {
+        model: CostModel::SsummMin,
+        threshold: ThresholdPolicy::Schedule,
+        algorithm: ALGO_SSUMM,
+    };
+}
+
 /// The Alg.-1 driver with run control threaded in — the engine behind
-/// both the legacy free functions and [`crate::api::Pegasus`].
+/// the free functions of both algorithms and [`crate::api::Pegasus`] /
+/// [`crate::api::Ssumm`]. `cfg` supplies the knobs both algorithms
+/// share; `kind` supplies the three that differ.
 ///
 /// Cancel/deadline checks sit at the top of each iteration — a commit
 /// boundary: the previous iteration's merge log is fully committed, so
@@ -221,11 +260,12 @@ pub fn summarize_with_weights(
 /// so a run resumed from a `resume` checkpoint at iteration `k` replays
 /// iterations `k..` bit-identically to the uninterrupted run — the
 /// checkpoint/resume correctness contract of DESIGN.md §10.
-pub(crate) fn pegasus_loop(
+pub(crate) fn merge_loop(
     g: &Graph,
     weights: &NodeWeights,
     budget_bits: f64,
     cfg: &PegasusConfig,
+    kind: LoopKind,
     control: &RunControl,
     resume: Option<&RunCheckpoint>,
 ) -> (Summary, RunStats, StopReason) {
@@ -236,37 +276,34 @@ pub(crate) fn pegasus_loop(
         max_group: cfg.max_group,
         depth: cfg.shingle_depth,
     };
-    let (mut ws, mut threshold, mut stats, mut t, mut stall_cap) = match resume {
+    let (mut ws, mut stats, mut t, theta_bits, mut stall_cap) = match resume {
         Some(ck) => (
-            ck.restore_working(g, weights, CostModel::ErrorCorrection),
-            AdaptiveThreshold::restore(cfg.beta, f64::from_bits(ck.theta_bits)),
+            ck.restore_working(g, weights, kind.model),
             ck.stats,
             ck.next_iteration as usize,
+            Some(ck.theta_bits),
             f64::from_bits(ck.stall_cap_bits),
         ),
         None => (
-            WorkingSummary::new(g, weights, CostModel::ErrorCorrection),
-            AdaptiveThreshold::new(cfg.beta),
+            WorkingSummary::new(g, weights, kind.model),
             RunStats::default(),
             1,
+            None,
             f64::INFINITY,
         ),
     };
-    // Incremental candidate generation: attach the persistent lane bank
-    // once (bit-identical at any thread count) and restore / zero the
-    // per-supernode gain EMAs. The bank is a pure function of (graph,
-    // seed, current partition), so attaching after a checkpoint restore
-    // reproduces exactly the signatures the uninterrupted run maintained
+    // The adaptive state is θ alone at an iteration boundary; the fixed
+    // schedule is a pure function of `t` and keeps none.
+    let mut adaptive = (kind.threshold == ThresholdPolicy::Adaptive).then(|| match theta_bits {
+        Some(bits) => AdaptiveThreshold::restore(cfg.beta, f64::from_bits(bits)),
+        None => AdaptiveThreshold::new(cfg.beta),
+    });
+    // Attach the persistent lane bank once (bit-identical at any thread
+    // count). The bank is a pure function of (graph, seed, current
+    // partition), so attaching after a checkpoint restore reproduces
+    // exactly the signatures the uninterrupted run maintained
     // (composition under union, DESIGN.md §11).
-    let incremental = cfg.candidate_gen == CandidateGen::Incremental;
-    let mut gains: Vec<f64> = Vec::new();
-    if incremental {
-        attach_signatures(&mut ws, cfg.seed, lane_count(cfg.shingle_depth), &exec);
-        gains = match resume {
-            Some(ck) => ck.restore_gains(g.num_nodes()),
-            None => vec![0.0; g.num_nodes()],
-        };
-    }
+    attach_signatures(&mut ws, cfg.seed, lane_count(cfg.shingle_depth), &exec);
 
     let stop = loop {
         if ws.size_bits() <= budget_bits {
@@ -282,21 +319,20 @@ pub(crate) fn pegasus_loop(
         control.fault_point(t as u64);
         let mut rng = StdRng::seed_from_u64(iteration_seed(cfg.seed, t as u64));
         let cand_start = std::time::Instant::now();
-        let groups = if incremental {
-            candidate_groups_incremental(&ws, &mut rng, &shingle_params, &gains)
-        } else {
-            candidate_groups(&ws, &mut rng, &shingle_params, &exec)
-        };
+        let groups = candidate_groups_incremental(&ws, &mut rng, &shingle_params);
         stats.phases.candidates += cand_start.elapsed().as_secs_f64();
         stats.groups += groups.len() as u64;
         stats.grouped_supernodes += groups.iter().map(|grp| grp.len() as u64).sum::<u64>();
         let before = ws.num_supernodes();
-        let theta = threshold.theta().min(stall_cap);
+        let theta = match &adaptive {
+            Some(threshold) => threshold.theta().min(stall_cap),
+            None => ssumm_schedule(t, cfg.t_max),
+        };
 
         // Evaluate phase (parallel, read-only): every group gets a seed
         // drawn serially here, then workers run the Alg.-2 sampling loop
         // against the frozen summary, producing merge logs.
-        let seeded: Vec<(Vec<crate::summary::SuperId>, u64)> = groups
+        let seeded: Vec<(Vec<SuperId>, u64)> = groups
             .into_iter()
             .map(|grp| (grp, rng.next_u64()))
             .collect();
@@ -317,54 +353,60 @@ pub(crate) fn pegasus_loop(
 
         // Commit phase (serial, deterministic group order): replay each
         // group's merge log against the shared summary (which repairs
-        // the signature bank lane-wise in O(K) per merge), fold its
-        // rejection samples into the adaptive threshold, and update the
-        // members' gain EMAs with the group's accepted savings.
+        // the signature bank lane-wise in O(K) per merge) and fold its
+        // rejection samples into the adaptive threshold.
         let commit_start = std::time::Instant::now();
-        for ((group, _), outcome) in seeded.iter().zip(&outcomes) {
+        for outcome in &outcomes {
             for &(a, b) in &outcome.merges {
                 ws.merge(a, b, &mut scratch);
             }
-            threshold.fold_rejections(&outcome.rejected);
-            if incremental {
-                let share = outcome.accepted_delta / group.len() as f64;
-                for &s in group {
-                    gains[s as usize] = crate::threshold::GAIN_DECAY * gains[s as usize] + share;
-                }
+            if let Some(threshold) = adaptive.as_mut() {
+                threshold.fold_rejections(&outcome.rejected);
             }
         }
         stats.phases.commit += commit_start.elapsed().as_secs_f64();
         let merged = before - ws.num_supernodes();
         stats.merges += merged;
-        threshold.end_iteration();
-        // Stall guard (see DESIGN.md): on graphs whose relative
-        // reductions cluster at discrete values, the ⌊β|L|⌋-th-largest
-        // update can plateau just above the cluster and merging stops
-        // while the summary is still over budget. When an iteration
-        // merges less than 0.5% of the supernodes under budget pressure,
-        // fall back to SSumM's guaranteed-decay schedule as a cap.
-        if merged * 200 < before && ws.size_bits() > budget_bits {
-            stall_cap = crate::threshold::ssumm_schedule(t, cfg.t_max).min(stall_cap);
+        match adaptive.as_mut() {
+            Some(threshold) => {
+                threshold.end_iteration();
+                // Stall guard (see DESIGN.md): on graphs whose relative
+                // reductions cluster at discrete values, the
+                // ⌊β|L|⌋-th-largest update can plateau just above the
+                // cluster and merging stops while the summary is still
+                // over budget. When an iteration merges less than 0.5% of
+                // the supernodes under budget pressure, fall back to
+                // SSumM's guaranteed-decay schedule as a cap.
+                if merged * 200 < before && ws.size_bits() > budget_bits {
+                    stall_cap = ssumm_schedule(t, cfg.t_max).min(stall_cap);
+                }
+            }
+            None => stats.final_theta = theta,
         }
         stats.iterations = t;
         control.notify(&stats);
         // Snapshot after the commit + threshold/stall updates: this is
         // the consistency point a resumed run restarts from (at t + 1).
+        let (ck_theta, ck_cap) = match &adaptive {
+            Some(threshold) => (threshold.theta(), stall_cap),
+            None => (theta, f64::INFINITY),
+        };
         let snapshot = stats;
         control.maybe_checkpoint(t as u64, &mut stats, || {
             RunCheckpoint::capture(
-                ALGO_PEGASUS,
+                kind.algorithm,
                 (t + 1) as u64,
-                threshold.theta(),
-                stall_cap,
+                ck_theta,
+                ck_cap,
                 snapshot,
                 &ws,
-                incremental.then_some(gains.as_slice()),
             )
         });
         t += 1;
     };
-    stats.final_theta = threshold.theta();
+    if let Some(threshold) = &adaptive {
+        stats.final_theta = threshold.theta();
+    }
 
     // Only uninterrupted runs sparsify down to the budget; a cancelled
     // or deadline-stopped run hands back its partial summary promptly.

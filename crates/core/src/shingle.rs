@@ -7,13 +7,23 @@
 //! F(U) = min_{u∈U} min_{v∈N(u)∪{u}} f(v)           (Eq. 12)
 //! ```
 //!
-//! for a per-iteration random hash `f : V → u64`; the probability that
-//! two supernodes share a shingle equals the Jaccard similarity of their
+//! for a random hash `f : V → u64`; the probability that two
+//! supernodes share a shingle equals the Jaccard similarity of their
 //! (closed) neighbor sets, so groups collect supernodes with similar
-//! connectivity. Oversized groups are re-split recursively with fresh
-//! hashes (at most [`ShingleParams::depth`] rounds, paper constant 10)
-//! and finally split randomly to at most [`ShingleParams::max_group`]
-//! members (paper constant 500).
+//! connectivity. Oversized groups are re-split on further hashes (at
+//! most [`ShingleParams::depth`] rounds, paper constant 10) and finally
+//! split randomly to at most [`ShingleParams::max_group`] members
+//! (paper constant 500).
+//!
+//! # Persistent lanes
+//!
+//! Instead of fresh hash passes every iteration, the engine attaches a
+//! bank of `K` hash lanes once per run ([`attach_signatures`]) and
+//! repairs the surviving row lane-wise-min in O(K) at every merge:
+//! Eq. 12 composes under union, so the maintained signatures stay
+//! bitwise equal to a from-scratch recompute (DESIGN.md §11). Each
+//! iteration buckets by a starting lane drawn from the driver RNG and
+//! re-splits oversized groups on successive lanes.
 //!
 //! # Parallelism and determinism
 //!
@@ -21,12 +31,11 @@
 //! 64-bit mix (`hash_node`) instead, which has the same collision
 //! semantics (64-bit keys make ties vanishingly rare, and any tie breaks
 //! identically everywhere) but is a *pure function* of `(seed, v)`. That
-//! makes `node_minhash` embarrassingly parallel over node ranges — no
-//! shared RNG state, no sequential Fisher–Yates — so the min-hash pass
-//! splits across [`Exec`] workers and produces bit-identical output at
-//! any thread count. All residual randomness (per-round hash seeds, the
-//! final random division of structurally identical supernodes) is drawn
-//! serially from the driver's RNG.
+//! makes the lane passes embarrassingly parallel over node ranges — no
+//! shared RNG state, no sequential Fisher–Yates — so the bank splits
+//! across [`Exec`] workers and is bit-identical at any thread count.
+//! Bucketing and the residual randomness (starting lane, the final
+//! random division of structurally identical supernodes) are serial.
 
 use pgs_graph::{FxHashMap, NodeId};
 use rand::rngs::StdRng;
@@ -36,23 +45,6 @@ use rand::RngCore;
 use crate::exec::Exec;
 use crate::summary::SuperId;
 use crate::working::WorkingSummary;
-
-/// Which generator forms the per-iteration candidate groups.
-///
-/// The incremental path (default) buckets supernodes by persistent
-/// min-hash signature lanes attached once per run and repaired in O(K)
-/// at every commit merge; the legacy path recomputes full min-hash
-/// passes every iteration and is kept as the oracle / bench baseline,
-/// exactly like [`crate::working::MergeEvaluator::Scan`] for the
-/// evaluator (DESIGN.md §11).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CandidateGen {
-    /// Persistent signature lanes + gain-ordered group scheduling.
-    #[default]
-    Incremental,
-    /// Per-iteration full min-hash recomputation (the original path).
-    Recompute,
-}
 
 /// Grouping parameters (paper constants in Sect. III-C).
 #[derive(Clone, Copy, Debug)]
@@ -151,11 +143,11 @@ pub fn attach_signatures(ws: &mut WorkingSummary<'_>, bank_seed: u64, lanes: usi
     ws.set_signature_bank(lanes, data);
 }
 
-/// Buckets `ids` by their persisted signature in `lane` — the O(live)
-/// incremental counterpart of [`split_by_shingle`] (each signature is a
-/// single array read instead of a member-list rescan). Groups come back
-/// sorted by signature key with members in `ids` iteration order, the
-/// same canonical ordering the commit phase relies on.
+/// Buckets `ids` by their persisted signature in `lane` — O(live), each
+/// signature a single array read. Groups come back sorted by signature
+/// key with members in `ids` iteration order: an ordering independent
+/// of both hash-map iteration order and thread count, which the
+/// deterministic commit phase relies on.
 fn bucket_by_lane(
     ws: &WorkingSummary<'_>,
     ids: impl Iterator<Item = SuperId>,
@@ -170,120 +162,18 @@ fn bucket_by_lane(
     groups.into_iter().map(|(_, grp)| grp).collect()
 }
 
-/// Orders `groups` by expected gain, descending: the sum of the
-/// members' accepted-merge EMAs (maintained by the driver, decayed by
-/// [`crate::threshold::GAIN_DECAY`]) plus a per-pair cold-start prior
-/// ([`crate::threshold::GAIN_COLD_PRIOR`]`·(|group|-1)`) so that, with
-/// no history yet, larger signature-collision mass goes first. The sort
-/// is stable, so ties keep the canonical signature-key order — the
-/// schedule is a pure function of (summary state, gains), independent
-/// of thread count.
-fn schedule_by_gain(groups: &mut Vec<Vec<SuperId>>, gains: &[f64]) {
-    let mut keyed: Vec<(f64, Vec<SuperId>)> = std::mem::take(groups)
-        .into_iter()
-        .map(|grp| {
-            let observed: f64 = grp.iter().map(|&s| gains[s as usize]).sum();
-            let prior = crate::threshold::GAIN_COLD_PRIOR * (grp.len() - 1) as f64;
-            (observed + prior, grp)
-        })
-        .collect();
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-    *groups = keyed.into_iter().map(|(_, grp)| grp).collect();
-}
-
-/// Splits `ids` into groups by supernode shingle. The supernode shingles
-/// are computed in parallel (aligned with `ids`); bucketing and the
-/// canonical ordering are serial. Groups come back sorted by shingle
-/// key, with members in `ids` order — an ordering independent of both
-/// hash-map iteration order and thread count, which the deterministic
-/// commit phase relies on.
-fn split_by_shingle(
-    ws: &WorkingSummary<'_>,
-    ids: &[SuperId],
-    minhash: &[u64],
-    exec: &Exec,
-) -> Vec<Vec<SuperId>> {
-    let shingles: Vec<u64> = exec.map_indexed(ids, |_, &s| {
-        ws.members(s)
-            .iter()
-            .map(|&u| minhash[u as usize])
-            .min()
-            // pgs-allow: PGS004 a supernode always contains at least its seed node
-            .expect("supernodes are non-empty")
-    });
-    let mut buckets: FxHashMap<u64, Vec<SuperId>> = FxHashMap::default();
-    for (&s, &key) in ids.iter().zip(&shingles) {
-        buckets.entry(key).or_default().push(s);
-    }
-    let mut groups: Vec<(u64, Vec<SuperId>)> = buckets.into_iter().collect();
-    groups.sort_unstable_by_key(|(key, _)| *key);
-    groups.into_iter().map(|(_, grp)| grp).collect()
-}
-
-/// Generates this iteration's candidate groups (Alg. 1 line 4).
+/// Generates this iteration's candidate groups (Alg. 1 line 4) from
+/// the persistent signature lanes attached via [`attach_signatures`].
+/// Iteration-to-iteration variety comes from rotating the starting
+/// lane (drawn from the driver RNG, preserving the fixed-seed
+/// determinism contract); recursive re-splitting of oversized groups
+/// consumes successive lanes.
 ///
 /// Groups of size 1 are dropped (no pairs to merge). The union of the
 /// returned groups is therefore a subset of the live supernodes, each
-/// appearing exactly once. Group order is canonical (by shingle key,
+/// appearing exactly once. Group order is canonical (by signature key,
 /// then split order), so downstream per-group seeding and the commit
 /// phase see the same sequence at any thread count.
-pub fn candidate_groups(
-    ws: &WorkingSummary<'_>,
-    rng: &mut StdRng,
-    params: &ShingleParams,
-    exec: &Exec,
-) -> Vec<Vec<SuperId>> {
-    let live = ws.live_ids();
-    if live.len() < 2 {
-        return Vec::new();
-    }
-    let minhash = node_minhash(ws, rng.next_u64(), exec);
-    let mut groups = split_by_shingle(ws, &live, &minhash, exec);
-
-    for _ in 1..params.depth {
-        if groups.iter().all(|g| g.len() <= params.max_group) {
-            break;
-        }
-        let minhash = node_minhash(ws, rng.next_u64(), exec);
-        let mut next = Vec::with_capacity(groups.len());
-        for group in groups {
-            if group.len() <= params.max_group {
-                next.push(group);
-            } else {
-                next.extend(split_by_shingle(ws, &group, &minhash, exec));
-            }
-        }
-        groups = next;
-    }
-
-    // Random division of any still-oversized group (structurally identical
-    // supernodes can never be separated by shingles).
-    let mut result = Vec::with_capacity(groups.len());
-    for mut group in groups {
-        if group.len() > params.max_group {
-            group.shuffle(rng);
-            for chunk in group.chunks(params.max_group) {
-                if chunk.len() > 1 {
-                    result.push(chunk.to_vec());
-                }
-            }
-        } else if group.len() > 1 {
-            result.push(group);
-        }
-    }
-    result
-}
-
-/// The incremental counterpart of [`candidate_groups`]: groups by the
-/// persistent signature lanes attached via [`attach_signatures`]
-/// instead of recomputing min-hash passes. Iteration-to-iteration
-/// variety comes from rotating the starting lane (drawn from the driver
-/// RNG, preserving the fixed-seed determinism contract); recursive
-/// re-splitting of oversized groups consumes successive lanes instead
-/// of fresh global passes. The still-oversized random division is
-/// identical to the legacy path. Finally groups are ordered by expected
-/// gain ([`schedule_by_gain`]) so high-yield groups evaluate first and
-/// deadline/cancel cutoffs land after the most valuable work.
 ///
 /// Serial and `O(live)` per round — no `Exec` involved, so the output
 /// is thread-count independent by construction.
@@ -294,13 +184,9 @@ pub fn candidate_groups_incremental(
     ws: &WorkingSummary<'_>,
     rng: &mut StdRng,
     params: &ShingleParams,
-    gains: &[f64],
 ) -> Vec<Vec<SuperId>> {
     let lanes = ws.signature_lanes();
-    assert!(
-        lanes > 0,
-        "attach_signatures must run before the incremental path"
-    );
+    assert!(lanes > 0, "attach_signatures must run before grouping");
     if ws.num_supernodes() < 2 {
         return Vec::new();
     }
@@ -323,9 +209,8 @@ pub fn candidate_groups_incremental(
         groups = next;
     }
 
-    // Random division of any still-oversized group, exactly as in the
-    // legacy path (supernodes colliding on every lane can never be
-    // separated by signatures).
+    // Random division of any still-oversized group (supernodes colliding
+    // on every lane can never be separated by signatures).
     let mut result = Vec::with_capacity(groups.len());
     for mut group in groups {
         if group.len() > params.max_group {
@@ -339,7 +224,6 @@ pub fn candidate_groups_incremental(
             result.push(group);
         }
     }
-    schedule_by_gain(&mut result, gains);
     result
 }
 
@@ -352,30 +236,34 @@ mod tests {
     use pgs_graph::gen::barabasi_albert;
     use rand::SeedableRng;
 
-    fn groups_for(g: &pgs_graph::Graph, params: &ShingleParams, seed: u64) -> Vec<Vec<SuperId>> {
+    /// Groups of the first iteration of a run seeded with `seed`: the
+    /// bank is attached with `seed` on `threads` workers and the
+    /// starting lane is drawn from an RNG seeded with `seed`.
+    fn groups_for(
+        g: &pgs_graph::Graph,
+        params: &ShingleParams,
+        seed: u64,
+        threads: usize,
+    ) -> Vec<Vec<SuperId>> {
         let w = NodeWeights::uniform(g.num_nodes());
-        let ws = WorkingSummary::new(g, &w, CostModel::ErrorCorrection);
+        let mut ws = WorkingSummary::new(g, &w, CostModel::ErrorCorrection);
+        let exec = if threads == 1 {
+            Exec::serial()
+        } else {
+            Exec::new(threads)
+        };
+        attach_signatures(&mut ws, seed, lane_count(params.depth), &exec);
         let mut rng = StdRng::seed_from_u64(seed);
-        candidate_groups(&ws, &mut rng, params, &Exec::serial())
+        candidate_groups_incremental(&ws, &mut rng, params)
     }
 
     #[test]
     fn groups_identical_at_any_thread_count() {
         let g = barabasi_albert(300, 4, 6);
-        let w = NodeWeights::uniform(g.num_nodes());
-        let ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let reference = {
-            let mut rng = StdRng::seed_from_u64(9);
-            candidate_groups(&ws, &mut rng, &ShingleParams::default(), &Exec::serial())
-        };
+        let reference = groups_for(&g, &ShingleParams::default(), 9, 1);
+        assert!(!reference.is_empty());
         for threads in [2, 3, 8] {
-            let mut rng = StdRng::seed_from_u64(9);
-            let got = candidate_groups(
-                &ws,
-                &mut rng,
-                &ShingleParams::default(),
-                &Exec::new(threads),
-            );
+            let got = groups_for(&g, &ShingleParams::default(), 9, threads);
             assert_eq!(got, reference, "threads = {threads}");
         }
     }
@@ -384,12 +272,12 @@ mod tests {
     fn twins_usually_land_in_same_group() {
         // Nodes 0 and 1 share the open neighborhood {2,3}; their closed
         // neighborhoods overlap with Jaccard 0.5, so they share a shingle
-        // with probability 1/2 per permutation. Over 40 seeds they must
-        // be grouped together far more often than never.
+        // with probability 1/2 per lane. Over 40 seeds they must be
+        // grouped together near half the time.
         let g = graph_from_edges(4, &[(0, 2), (0, 3), (1, 2), (1, 3)]);
         let mut together = 0;
         for seed in 0..40 {
-            let groups = groups_for(&g, &ShingleParams::default(), seed);
+            let groups = groups_for(&g, &ShingleParams::default(), seed, 1);
             if groups
                 .iter()
                 .any(|grp| grp.contains(&0) && grp.contains(&1))
@@ -406,7 +294,7 @@ mod tests {
     #[test]
     fn groups_are_disjoint_and_within_live() {
         let g = barabasi_albert(200, 3, 7);
-        let groups = groups_for(&g, &ShingleParams::default(), 3);
+        let groups = groups_for(&g, &ShingleParams::default(), 3, 1);
         let mut seen = std::collections::HashSet::new();
         for grp in &groups {
             assert!(grp.len() >= 2, "singleton group leaked");
@@ -419,9 +307,9 @@ mod tests {
 
     #[test]
     fn max_group_is_enforced() {
-        // A star graph: every leaf has closed neighborhood {leaf, center};
-        // min-hash collapses all leaves into one group, forcing the random
-        // split path.
+        // A star graph: every leaf has closed neighborhood {leaf, center},
+        // so the hub's hash collapses all leaves into one group in every
+        // lane, forcing the random-division path.
         let n = 60;
         let edges: Vec<(u32, u32)> = (1..n).map(|v| (0u32, v)).collect();
         let g = graph_from_edges(n as usize, &edges);
@@ -429,7 +317,7 @@ mod tests {
             max_group: 10,
             depth: 3,
         };
-        let groups = groups_for(&g, &params, 1);
+        let groups = groups_for(&g, &params, 1, 1);
         assert!(!groups.is_empty(), "the shared-hub leaves must form groups");
         for grp in &groups {
             assert!(grp.len() <= 10, "group of size {} exceeds cap", grp.len());
@@ -439,9 +327,9 @@ mod tests {
     #[test]
     fn different_seeds_give_different_groups() {
         let g = barabasi_albert(150, 3, 2);
-        let g1 = groups_for(&g, &ShingleParams::default(), 1);
-        let g2 = groups_for(&g, &ShingleParams::default(), 2);
-        // Compare the multiset of sorted groups; different permutations
+        let g1 = groups_for(&g, &ShingleParams::default(), 1, 1);
+        let g2 = groups_for(&g, &ShingleParams::default(), 2, 1);
+        // Compare the multiset of sorted groups; different hash lanes
         // should produce different clusterings on a random graph.
         let norm = |mut gs: Vec<Vec<SuperId>>| {
             for g in &mut gs {
@@ -456,106 +344,17 @@ mod tests {
     #[test]
     fn tiny_graphs_yield_no_groups() {
         let g = graph_from_edges(1, &[]);
-        let groups = groups_for(&g, &ShingleParams::default(), 0);
+        let groups = groups_for(&g, &ShingleParams::default(), 0, 1);
         assert!(groups.is_empty());
     }
 
     #[test]
     fn isolated_nodes_group_by_own_hash() {
-        // Isolated nodes have closed neighborhood = {self}: shingles are
-        // all distinct, so they form only singletons (dropped).
+        // Isolated nodes have closed neighborhood = {self}: signatures
+        // are all distinct, so they form only singletons (dropped).
         let g = pgs_graph::Graph::empty(5);
-        let groups = groups_for(&g, &ShingleParams::default(), 0);
+        let groups = groups_for(&g, &ShingleParams::default(), 0, 1);
         assert!(groups.is_empty());
-    }
-
-    fn incremental_groups_for(
-        g: &pgs_graph::Graph,
-        params: &ShingleParams,
-        seed: u64,
-        threads: usize,
-    ) -> Vec<Vec<SuperId>> {
-        let w = NodeWeights::uniform(g.num_nodes());
-        let mut ws = WorkingSummary::new(g, &w, CostModel::ErrorCorrection);
-        let exec = if threads == 1 {
-            Exec::serial()
-        } else {
-            Exec::new(threads)
-        };
-        attach_signatures(&mut ws, seed, lane_count(params.depth), &exec);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let gains = vec![0.0; g.num_nodes()];
-        candidate_groups_incremental(&ws, &mut rng, params, &gains)
-    }
-
-    #[test]
-    fn incremental_groups_identical_at_any_thread_count() {
-        let g = barabasi_albert(300, 4, 6);
-        let reference = incremental_groups_for(&g, &ShingleParams::default(), 9, 1);
-        assert!(!reference.is_empty());
-        for threads in [2, 3, 8] {
-            let got = incremental_groups_for(&g, &ShingleParams::default(), 9, threads);
-            assert_eq!(got, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn incremental_groups_are_disjoint_and_within_live() {
-        let g = barabasi_albert(200, 3, 7);
-        let groups = incremental_groups_for(&g, &ShingleParams::default(), 3, 1);
-        let mut seen = std::collections::HashSet::new();
-        for grp in &groups {
-            assert!(grp.len() >= 2, "singleton group leaked");
-            for &s in grp {
-                assert!(seen.insert(s), "supernode {s} in two groups");
-                assert!((s as usize) < 200);
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_enforces_max_group() {
-        // The star graph collapses all leaves onto the hub's hash in
-        // every lane, forcing the random-division path.
-        let n = 60;
-        let edges: Vec<(u32, u32)> = (1..n).map(|v| (0u32, v)).collect();
-        let g = graph_from_edges(n as usize, &edges);
-        let params = ShingleParams {
-            max_group: 10,
-            depth: 3,
-        };
-        let groups = incremental_groups_for(&g, &params, 1, 1);
-        assert!(!groups.is_empty(), "the shared-hub leaves must form groups");
-        for grp in &groups {
-            assert!(grp.len() <= 10, "group of size {} exceeds cap", grp.len());
-        }
-    }
-
-    #[test]
-    fn gain_ordering_puts_hot_groups_first() {
-        let g = barabasi_albert(300, 4, 5);
-        let w = NodeWeights::uniform(g.num_nodes());
-        let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        attach_signatures(&mut ws, 5, 8, &Exec::serial());
-        let mut rng = StdRng::seed_from_u64(5);
-        let cold =
-            candidate_groups_incremental(&ws, &mut rng, &ShingleParams::default(), &vec![0.0; 300]);
-        assert!(cold.len() >= 2, "need at least two groups for the test");
-        // Heat up every member of what is currently the *last* group;
-        // with observed gain dominating the prior it must come first.
-        let mut gains = vec![0.0; 300];
-        for &s in cold.last().unwrap() {
-            gains[s as usize] = 10.0;
-        }
-        let mut rng = StdRng::seed_from_u64(5);
-        let hot = candidate_groups_incremental(&ws, &mut rng, &ShingleParams::default(), &gains);
-        assert_eq!(hot[0], *cold.last().unwrap());
-        // Same multiset of groups either way — scheduling only reorders.
-        let norm = |mut gs: Vec<Vec<SuperId>>| {
-            gs.sort();
-            gs
-        };
-        assert_eq!(norm(hot), norm(cold));
     }
 
     #[test]

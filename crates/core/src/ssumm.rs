@@ -11,24 +11,16 @@
 //! * **Encoding** — per-pair cost is the better of entropy coding and
 //!   error correction ([`crate::cost::CostModel::SsummMin`]), while
 //!   PeGaSus assumes error correction only.
+//!
+//! All three are arguments of the shared Alg.-1 driver
+//! ([`crate::pegasus`]); everything else — candidate generation, the
+//! parallel evaluate/commit engine, checkpoints — is the same code.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-use crate::api::{RunControl, StopReason};
-use crate::checkpoint::{iteration_seed, RunCheckpoint, ALGO_SSUMM};
-use crate::cost::CostModel;
-use crate::exec::Exec;
-use crate::pegasus::RunStats;
-use crate::shingle::{
-    attach_signatures, candidate_groups, candidate_groups_incremental, lane_count, CandidateGen,
-    ShingleParams,
-};
-use crate::sparsify::sparsify;
+use crate::api::RunControl;
+use crate::pegasus::{merge_loop, LoopKind, PegasusConfig, RunStats};
 use crate::summary::Summary;
-use crate::threshold::ssumm_schedule;
 use crate::weights::NodeWeights;
-use crate::working::{evaluate_group_with, MergeEvaluator, Scratch, WorkingSummary};
+use crate::working::MergeEvaluator;
 use pgs_graph::Graph;
 
 /// Configuration of the SSumM baseline (paper defaults from Sect. V-A).
@@ -47,9 +39,6 @@ pub struct SsummConfig {
     pub num_threads: usize,
     /// Merge evaluator (same engine as PeGaSus; cached by default).
     pub evaluator: MergeEvaluator,
-    /// Candidate generator (same engine as PeGaSus; incremental by
-    /// default).
-    pub candidate_gen: CandidateGen,
 }
 
 impl Default for SsummConfig {
@@ -61,7 +50,24 @@ impl Default for SsummConfig {
             shingle_depth: 10,
             num_threads: 0,
             evaluator: MergeEvaluator::default(),
-            candidate_gen: CandidateGen::default(),
+        }
+    }
+}
+
+impl SsummConfig {
+    /// The shared driver's knobs for this configuration. `alpha` and
+    /// `beta` keep their defaults and are never read: SSumM weights are
+    /// uniform and its threshold follows the fixed schedule.
+    pub(crate) fn engine(&self) -> PegasusConfig {
+        PegasusConfig {
+            t_max: self.t_max,
+            seed: self.seed,
+            max_group: self.max_group,
+            shingle_depth: self.shingle_depth,
+            use_absolute_cost: false,
+            num_threads: self.num_threads,
+            evaluator: self.evaluator,
+            ..PegasusConfig::default()
         }
     }
 }
@@ -77,133 +83,17 @@ pub fn ssumm_summarize_with_stats(
     budget_bits: f64,
     cfg: &SsummConfig,
 ) -> (Summary, RunStats) {
-    let (summary, stats, _) = ssumm_loop(g, budget_bits, cfg, &RunControl::default(), None);
-    (summary, stats)
-}
-
-/// The SSumM merge loop with run control threaded in, mirroring
-/// [`crate::pegasus::pegasus_loop`]: cancel/deadline checks at the top
-/// of each iteration (a commit boundary), interrupted runs skip final
-/// sparsification, per-iteration RNG derivation so a `resume` checkpoint
-/// replays the remaining iterations bit-identically.
-pub(crate) fn ssumm_loop(
-    g: &Graph,
-    budget_bits: f64,
-    cfg: &SsummConfig,
-    control: &RunControl,
-    resume: Option<&RunCheckpoint>,
-) -> (Summary, RunStats, StopReason) {
-    let started = std::time::Instant::now();
     let weights = NodeWeights::uniform(g.num_nodes());
-    let mut scratch = Scratch::default();
-    let exec = Exec::new(cfg.num_threads);
-    let shingle_params = ShingleParams {
-        max_group: cfg.max_group,
-        depth: cfg.shingle_depth,
-    };
-    // SSumM's threshold is a pure function of `t`, so the checkpoint's
-    // theta/stall_cap words are ignored on restore.
-    let (mut ws, mut stats, mut t) = match resume {
-        Some(ck) => (
-            ck.restore_working(g, &weights, CostModel::SsummMin),
-            ck.stats,
-            ck.next_iteration as usize,
-        ),
-        None => (
-            WorkingSummary::new(g, &weights, CostModel::SsummMin),
-            RunStats::default(),
-            1,
-        ),
-    };
-    // Same incremental candidate engine as PeGaSus (see
-    // `pegasus_loop`): persistent lane bank + gain EMAs.
-    let incremental = cfg.candidate_gen == CandidateGen::Incremental;
-    let mut gains: Vec<f64> = Vec::new();
-    if incremental {
-        attach_signatures(&mut ws, cfg.seed, lane_count(cfg.shingle_depth), &exec);
-        gains = match resume {
-            Some(ck) => ck.restore_gains(g.num_nodes()),
-            None => vec![0.0; g.num_nodes()],
-        };
-    }
-
-    let stop = loop {
-        if ws.size_bits() <= budget_bits {
-            break StopReason::BudgetMet;
-        }
-        if t > cfg.t_max {
-            break StopReason::MaxIters;
-        }
-        if let Some(reason) = control.interrupted(started) {
-            break reason;
-        }
-        control.beat();
-        control.fault_point(t as u64);
-        let mut rng = StdRng::seed_from_u64(iteration_seed(cfg.seed, t as u64));
-        let theta = ssumm_schedule(t, cfg.t_max);
-        let before = ws.num_supernodes();
-        // Same evaluate/commit engine as PeGaSus (SSumM just discards
-        // the rejection samples — its schedule is fixed).
-        let cand_start = std::time::Instant::now();
-        let groups = if incremental {
-            candidate_groups_incremental(&ws, &mut rng, &shingle_params, &gains)
-        } else {
-            candidate_groups(&ws, &mut rng, &shingle_params, &exec)
-        };
-        stats.phases.candidates += cand_start.elapsed().as_secs_f64();
-        stats.groups += groups.len() as u64;
-        stats.grouped_supernodes += groups.iter().map(|grp| grp.len() as u64).sum::<u64>();
-        let seeded: Vec<(Vec<crate::summary::SuperId>, u64)> = groups
-            .into_iter()
-            .map(|grp| (grp, rng.next_u64()))
-            .collect();
-        let eval_start = std::time::Instant::now();
-        let outcomes = exec.map_indexed(&seeded, |_, (group, seed)| {
-            control.beat();
-            evaluate_group_with(&ws, group, theta, *seed, false, cfg.evaluator)
-        });
-        stats.phases.evaluate += eval_start.elapsed().as_secs_f64();
-        stats.evals += outcomes.iter().map(|o| o.evals).sum::<u64>();
-        let commit_start = std::time::Instant::now();
-        for ((group, _), outcome) in seeded.iter().zip(&outcomes) {
-            for &(a, b) in &outcome.merges {
-                ws.merge(a, b, &mut scratch);
-            }
-            if incremental {
-                let share = outcome.accepted_delta / group.len() as f64;
-                for &s in group {
-                    gains[s as usize] = crate::threshold::GAIN_DECAY * gains[s as usize] + share;
-                }
-            }
-        }
-        stats.phases.commit += commit_start.elapsed().as_secs_f64();
-        stats.merges += before - ws.num_supernodes();
-        stats.final_theta = theta;
-        stats.iterations = t;
-        control.notify(&stats);
-        let snapshot = stats;
-        control.maybe_checkpoint(t as u64, &mut stats, || {
-            RunCheckpoint::capture(
-                ALGO_SSUMM,
-                (t + 1) as u64,
-                theta,
-                f64::INFINITY,
-                snapshot,
-                &ws,
-                incremental.then_some(gains.as_slice()),
-            )
-        });
-        t += 1;
-    };
-
-    if matches!(stop, StopReason::BudgetMet | StopReason::MaxIters) && ws.size_bits() > budget_bits
-    {
-        stats.sparsified = true;
-        let sparsify_start = std::time::Instant::now();
-        sparsify(&mut ws, budget_bits, &exec);
-        stats.phases.sparsify += sparsify_start.elapsed().as_secs_f64();
-    }
-    (ws.into_summary(), stats, stop)
+    let (summary, stats, _) = merge_loop(
+        g,
+        &weights,
+        budget_bits,
+        &cfg.engine(),
+        LoopKind::SSUMM,
+        &RunControl::default(),
+        None,
+    );
+    (summary, stats)
 }
 
 #[cfg(test)]

@@ -8,20 +8,6 @@
 //! reductions that failed the current threshold. SSumM instead follows
 //! the fixed schedule `θ(t) = (1+t)^{-1}` (0 in the final iteration).
 
-/// Decay factor of the per-supernode gain EMA that orders candidate
-/// groups in the incremental generator: after each committed group,
-/// `gain[s] ← GAIN_DECAY·gain[s] + accepted_delta/|group|` for every
-/// member `s`. A half-life of one iteration keeps the schedule reactive
-/// to the shrinking summary while still rewarding consistently
-/// productive regions.
-pub const GAIN_DECAY: f64 = 0.5;
-
-/// Cold-start prior weight per candidate pair: a group with no gain
-/// history is ranked by its signature-collision mass (`|group| - 1`)
-/// scaled by this constant, small enough that any observed gain
-/// dominates the prior.
-pub const GAIN_COLD_PRIOR: f64 = 1e-3;
-
 /// The adaptive threshold state of PeGaSus.
 #[derive(Clone, Debug)]
 pub struct AdaptiveThreshold {

@@ -1608,12 +1608,6 @@ pub struct GroupOutcome {
     pub rejected: Vec<f64>,
     /// Candidate-pair evaluations performed (throughput accounting).
     pub evals: u64,
-    /// Sum of the accepted merges' absolute cost reductions `ΔCost`
-    /// (Eq. 10) — the observed savings this group delivered, fed back
-    /// into the gain-ordered group scheduler (DESIGN.md §11). A pure
-    /// function of the same inputs as the merge log, so it is identical
-    /// at any thread count.
-    pub accepted_delta: f64,
 }
 
 /// Which evaluator [`evaluate_group_with`] prices candidate merges with.
@@ -1624,12 +1618,8 @@ pub enum MergeEvaluator {
     Cached,
     /// Member-edge rescans through the dense scratch, pricing in the
     /// same canonical order as `Cached` — the bitwise equivalence
-    /// baseline (`tests/eval_equivalence.rs`).
+    /// oracle (`tests/eval_equivalence.rs`).
     Scan,
-    /// The pre-cache evaluator preserved verbatim ([`crate::legacy_eval`]):
-    /// per-call `FxHashMap` accumulation, hash-order summation. Decision-
-    /// equivalent but not bit-comparable; benchmark baseline only.
-    LegacyHash,
 }
 
 /// The read-only half of one group's Alg.-2 round with the default
@@ -1675,9 +1665,8 @@ pub fn evaluate_group_with(
     with_thread_scratch(|scratch| {
         let mut view = match evaluator {
             MergeEvaluator::Cached => GroupView::with_cache(ws, group, scratch),
-            MergeEvaluator::Scan | MergeEvaluator::LegacyHash => GroupView::new(ws),
+            MergeEvaluator::Scan => GroupView::new(ws),
         };
-        let mut hash_scratch = crate::legacy_eval::HashScratch::default();
         let mut group: Vec<SuperId> = group.to_vec();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut outcome = GroupOutcome::default();
@@ -1693,7 +1682,6 @@ pub fn evaluate_group_with(
             // directly instead of re-deriving it from `best` per sample.
             let mut best: Option<(usize, usize)> = None;
             let mut best_key: Option<f64> = None;
-            let mut best_delta = 0.0f64;
             for _ in 0..samples {
                 let i = rng.random_range(0..group.len());
                 let j = rng.random_range(0..group.len());
@@ -1704,9 +1692,6 @@ pub fn evaluate_group_with(
                 let eval = match evaluator {
                     MergeEvaluator::Cached => view.eval_merge_cached(a, b, scratch),
                     MergeEvaluator::Scan => eval_merge_view(&view, a, b, scratch),
-                    MergeEvaluator::LegacyHash => {
-                        crate::legacy_eval::eval_merge_hash(&view, a, b, &mut hash_scratch)
-                    }
                 };
                 outcome.evals += 1;
                 let key = if use_absolute_cost {
@@ -1716,7 +1701,6 @@ pub fn evaluate_group_with(
                 };
                 if best_key.is_none_or(|bk| key > bk) {
                     best_key = Some(key);
-                    best_delta = eval.delta;
                     best = Some((i, j));
                 }
             }
@@ -1730,7 +1714,6 @@ pub fn evaluate_group_with(
                 let (a, b) = (group[i], group[j]);
                 let kept = view.merge_local(a, b, scratch);
                 outcome.merges.push((a, b));
-                outcome.accepted_delta += best_delta;
                 // O(1) removal of the dead id at its known index (the
                 // survivor cannot be displaced out of the vector).
                 let dead_idx = if kept == a { j } else { i };

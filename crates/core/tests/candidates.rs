@@ -1,14 +1,14 @@
-//! The incremental candidate generator's contract (DESIGN.md §11),
-//! pinned from outside the crate:
+//! The candidate generator's contract (DESIGN.md §11), pinned from
+//! outside the crate:
 //!
 //! * **Signature composition** — a merged supernode's maintained
 //!   signature is lane-wise bitwise equal to a from-scratch recompute
 //!   after *arbitrary* merge sequences (property test).
-//! * **Determinism** — for a fixed seed the incremental path returns a
+//! * **Determinism** — for a fixed seed the lane generator yields a
 //!   byte-identical summary at 1, 2, and 8 threads, and across every
 //!   checkpoint/resume cut.
-//! * **Equivalence of purpose** — incremental and recompute paths both
-//!   meet the budget; the oracle stays selectable.
+//! * **Accounting** — PeGaSus and SSumM both meet the budget and report
+//!   their candidate groups and candidate time.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,10 +18,10 @@ use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
 use pgs_core::cost::CostModel;
 use pgs_core::exec::Exec;
 use pgs_core::shingle::attach_signatures;
-use pgs_core::ssumm::{ssumm_summarize, SsummConfig};
+use pgs_core::ssumm::{ssumm_summarize_with_stats, SsummConfig};
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
-use pgs_core::{summarize, CandidateGen, CheckpointSink, PegasusConfig, Summary};
+use pgs_core::{summarize, CheckpointSink, PegasusConfig, Summary};
 use pgs_graph::gen::{barabasi_albert, erdos_renyi, planted_partition};
 use pgs_graph::Graph;
 
@@ -87,9 +87,9 @@ proptest! {
     }
 }
 
-/// Fixed seed ⇒ byte-identical summary at any thread count, for the
-/// incremental path specifically (the legacy path is pinned by
-/// `parallel_determinism.rs`).
+/// Fixed seed ⇒ byte-identical summary at any thread count, on a
+/// community graph whose lanes collide often (`parallel_determinism.rs`
+/// pins the same contract on other graphs and on SSumM).
 #[test]
 fn incremental_path_is_byte_identical_at_any_thread_count() {
     let g = planted_partition(400, 8, 1600, 250, 3);
@@ -101,7 +101,6 @@ fn incremental_path_is_byte_identical_at_any_thread_count() {
             &PegasusConfig {
                 num_threads: 1,
                 seed,
-                candidate_gen: CandidateGen::Incremental,
                 ..Default::default()
             },
         );
@@ -113,7 +112,6 @@ fn incremental_path_is_byte_identical_at_any_thread_count() {
                 &PegasusConfig {
                     num_threads: threads,
                     seed,
-                    candidate_gen: CandidateGen::Incremental,
                     ..Default::default()
                 },
             );
@@ -126,16 +124,14 @@ fn incremental_path_is_byte_identical_at_any_thread_count() {
     }
 }
 
-/// Resume from every checkpoint cut of an incremental run: the rebuilt
-/// signature bank and restored gain EMAs must replay the remaining
-/// iterations bit-identically.
+/// Resume from every checkpoint cut: the rebuilt signature bank must
+/// replay the remaining iterations bit-identically.
 #[test]
 fn incremental_resume_is_byte_identical_across_cuts() {
     let g = barabasi_albert(500, 4, 3);
     for seed in [1u64, 42] {
         let algo = Pegasus(PegasusConfig {
             seed,
-            candidate_gen: CandidateGen::Incremental,
             ..Default::default()
         });
         let req = SummarizeRequest::new(Budget::Ratio(0.35)).targets(&[0, 5]);
@@ -165,31 +161,19 @@ fn incremental_resume_is_byte_identical_across_cuts() {
     }
 }
 
-/// Both candidate paths deliver the budget (they need not agree on the
-/// exact summary — grouping differs by design), and the incremental
-/// runs attribute their candidate time separately from eval time.
+/// PeGaSus and SSumM share the one candidate path: both deliver the
+/// budget and attribute their candidate time separately from eval time.
 #[test]
-fn both_paths_meet_budget_and_populate_candidate_stats() {
+fn both_algorithms_meet_budget_and_populate_candidate_stats() {
     let g = barabasi_albert(400, 4, 11);
     let budget = 0.4 * g.size_bits();
-    for gen in [CandidateGen::Incremental, CandidateGen::Recompute] {
-        let cfg = PegasusConfig {
-            candidate_gen: gen,
-            ..Default::default()
-        };
-        let (s, stats) = pgs_core::pegasus::summarize_with_stats(&g, &[0], budget, &cfg);
-        assert!(s.size_bits() <= budget + 1e-9, "{gen:?} missed the budget");
-        assert!(stats.groups > 0, "{gen:?} formed no groups");
-        assert!(stats.grouped_supernodes >= stats.groups, "{gen:?} counters");
-        assert!(stats.phases.candidates > 0.0, "{gen:?} candidate time");
-    }
-    // SSumM shares the engine.
-    for gen in [CandidateGen::Incremental, CandidateGen::Recompute] {
-        let cfg = SsummConfig {
-            candidate_gen: gen,
-            ..Default::default()
-        };
-        let s = ssumm_summarize(&g, budget, &cfg);
-        assert!(s.size_bits() <= budget + 1e-9, "ssumm {gen:?}");
+    let (s, stats) =
+        pgs_core::pegasus::summarize_with_stats(&g, &[0], budget, &PegasusConfig::default());
+    let (s2, stats2) = ssumm_summarize_with_stats(&g, budget, &SsummConfig::default());
+    for (name, s, stats) in [("pegasus", s, stats), ("ssumm", s2, stats2)] {
+        assert!(s.size_bits() <= budget + 1e-9, "{name} missed the budget");
+        assert!(stats.groups > 0, "{name} formed no groups");
+        assert!(stats.grouped_supernodes >= stats.groups, "{name} counters");
+        assert!(stats.phases.candidates > 0.0, "{name} candidate time");
     }
 }

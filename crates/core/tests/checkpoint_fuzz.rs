@@ -6,8 +6,8 @@
 //! as a structurally valid decode.
 //!
 //! The exhaustive sweeps (every prefix length, every single-bit flip of
-//! every byte) run on v1, v2, and v3 blobs; proptest layers random
-//! multi-byte mutations on top.
+//! every byte) run on a blob of the one codec version; proptest layers
+//! random multi-byte mutations on top.
 
 use proptest::prelude::*;
 
@@ -21,17 +21,14 @@ use std::sync::Arc;
 
 const NUM_NODES: usize = 40;
 
-/// A valid current-version (v3) blob with a non-trivial partition,
-/// gains section, and phase-timing trail.
-fn v3_blob() -> Vec<u8> {
+/// A valid blob with a non-trivial partition and stats.
+fn sample_blob() -> Vec<u8> {
     let g = pgs_graph::gen::barabasi_albert(NUM_NODES, 3, 7);
     let w = NodeWeights::uniform(g.num_nodes());
     let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
     let mut scratch = Scratch::default();
     ws.merge(0, 1, &mut scratch);
     ws.merge(4, 5, &mut scratch);
-    let mut gains = vec![0.0; g.num_nodes()];
-    gains[0] = 0.5;
     let ck = RunCheckpoint::capture(
         ALGO_PEGASUS,
         3,
@@ -43,30 +40,8 @@ fn v3_blob() -> Vec<u8> {
             ..Default::default()
         },
         &ws,
-        Some(&gains),
     );
     ck.encode()
-}
-
-/// The v2 form of the same snapshot: byte-for-byte the v3 blob minus
-/// the v3 trailing section (commit + sparsify phase words), re-tagged
-/// version 2.
-fn v2_blob() -> Vec<u8> {
-    let v3 = v3_blob();
-    let mut v2 = v3[..v3.len() - 16].to_vec();
-    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-    v2
-}
-
-/// The v1 form: the v2 blob minus its trailing section (candidate
-/// stats + gains), re-tagged version 1.
-fn v1_blob() -> Vec<u8> {
-    let v2 = v2_blob();
-    let ck = RunCheckpoint::decode(&v2).expect("sample blob must decode");
-    let trail = 8 + 8 + 8 + 4 + 8 * ck.gains.len();
-    let mut v1 = v2[..v2.len() - trail].to_vec();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    v1
 }
 
 /// Decoding must never panic; an `Ok` must be structurally sane.
@@ -80,28 +55,26 @@ fn assert_no_panic_decode(bytes: &[u8]) {
 
 #[test]
 fn every_prefix_truncation_is_a_typed_error() {
-    for blob in [v1_blob(), v2_blob(), v3_blob()] {
-        assert!(RunCheckpoint::decode(&blob).is_ok(), "sanity: full blob");
-        for cut in 0..blob.len() {
-            let prefix = &blob[..cut];
-            assert!(
-                RunCheckpoint::decode(prefix).is_err(),
-                "prefix of length {cut}/{} must not decode",
-                blob.len()
-            );
-        }
+    let blob = sample_blob();
+    assert!(RunCheckpoint::decode(&blob).is_ok(), "sanity: full blob");
+    for cut in 0..blob.len() {
+        let prefix = &blob[..cut];
+        assert!(
+            RunCheckpoint::decode(prefix).is_err(),
+            "prefix of length {cut}/{} must not decode",
+            blob.len()
+        );
     }
 }
 
 #[test]
 fn every_single_bit_flip_errors_or_decodes_validly() {
-    for blob in [v1_blob(), v2_blob(), v3_blob()] {
-        for pos in 0..blob.len() {
-            for bit in 0..8u8 {
-                let mut mutated = blob.clone();
-                mutated[pos] ^= 1 << bit;
-                assert_no_panic_decode(&mutated);
-            }
+    let blob = sample_blob();
+    for pos in 0..blob.len() {
+        for bit in 0..8u8 {
+            let mut mutated = blob.clone();
+            mutated[pos] ^= 1 << bit;
+            assert_no_panic_decode(&mutated);
         }
     }
 }
@@ -110,7 +83,7 @@ fn every_single_bit_flip_errors_or_decodes_validly() {
 fn corrupt_resume_blob_is_checkpoint_invalid_through_run_control() {
     // The serving-layer surface of the same property: a damaged resume
     // blob reaches callers as PgsError::CheckpointInvalid, not a panic.
-    let mut blob = v3_blob();
+    let mut blob = sample_blob();
     let mid = blob.len() / 2;
     blob.truncate(mid);
     let control = RunControl {
@@ -129,13 +102,8 @@ proptest! {
     #[test]
     fn random_byte_mutations_never_panic(
         edits in proptest::collection::vec((0usize..4096, any::<u8>()), 1..16),
-        version in 1u16..=3,
     ) {
-        let mut blob = match version {
-            1 => v1_blob(),
-            2 => v2_blob(),
-            _ => v3_blob(),
-        };
+        let mut blob = sample_blob();
         for (pos, val) in edits {
             let idx = pos % blob.len();
             blob[idx] = val;

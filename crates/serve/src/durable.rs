@@ -196,6 +196,28 @@ mod tests {
     }
 
     #[test]
+    fn version_3_blob_is_a_typed_error_at_decode_and_scan() {
+        use pgs_core::checkpoint::{CheckpointError, VERSION};
+        assert_eq!(VERSION, 4);
+        let mut v3 = sample_blob();
+        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(
+            RunCheckpoint::decode(&v3),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        let dir = temp_dir("v3");
+        fs::create_dir_all(&dir).unwrap();
+        let old = dir.join(ckpt_filename("old"));
+        fs::write(&old, &v3).unwrap();
+        fs::write(dir.join(ckpt_filename("new")), sample_blob()).unwrap();
+        let recovered = recover_checkpoints(&dir);
+        assert_eq!(recovered.len(), 1);
+        assert!(recovered.contains_key(&ckpt_filename("new")));
+        assert!(!old.exists(), "a v3 blob is corrupt and must be deleted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_directory_yields_empty_map() {
         assert!(recover_checkpoints(Path::new("/nonexistent/pgs-ckpts")).is_empty());
     }
@@ -267,7 +289,6 @@ mod tests {
             f64::INFINITY,
             RunStats::default(),
             &ws,
-            None,
         )
         .encode()
     }
