@@ -13,9 +13,9 @@
 //!
 //! Everything first-party is still *loaded* so the cross-file PGS005
 //! scan sees every `PgsError::` occurrence. Excluded entirely:
-//! `vendor/` (third-party), `crates/bench` (criterion harnesses, not
-//! library code), and `crates/analysis` itself (its fixtures and rule
-//! tables are full of deliberate violations).
+//! `vendor/` (third-party), `crates/bench` (experiment binaries for the
+//! paper's figures, not library code), and `crates/analysis` itself (its
+//! fixtures and rule tables are full of deliberate violations).
 
 use crate::rules::{FileCtx, RuleSet};
 use std::fs;

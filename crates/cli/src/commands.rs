@@ -27,18 +27,21 @@ USAGE:
                 [--targets 1,2,3] [--alpha 1.25] [--beta 0.1] [--seed 0]
                 [--deadline-secs T]   (stop at the next commit boundary past T)
                 [--threads N]   (0 = all hardware threads; same output at any N)
+                [--tmax 20] [--c 1.0] [--iterations 5]   (pegasus/ssumm, kgrass, s2l)
   pgs query <out.summary> --type rwr|hop|php|pagerank --node <q> [--top 10]
             [--truth <edges.txt>]
   pgs query <out.summary> --type rwr|hop|php (--nodes <ids.txt> | --sample <k>)
             [--top 10] [--seed 0] [--truth <edges.txt>]
             [--threads N]   (0 = all hardware threads; same output at any N)
-  pgs partition <edges.txt> -m 8 [--method louvain|blp|shpi|shpii|shpkl]
+  pgs partition <edges.txt> -m 8 [--method louvain|blp|shpi|shpii|shpkl] [--seed 0]
   pgs serve <edges.txt> --requests <reqs.txt>
             [--algorithm pegasus|ssumm|kgrass|s2l|saags]   (default pegasus)
             [--workers N]   (pool size; 0 = all hardware threads)
             [--inflight K]   (per-tenant concurrent runs, default 1)
             [--tenant-deadline-ms T]   (wall clock per request, from submission)
             [--cache C]   (weight-cache entries, default 256; 0 disables)
+            [--queue-depth Q] [--global-queue G]   (0 = unbounded)
+            [--retries R] [--retry-backoff-ms 10] [--checkpoint-every 1]
             [--metrics-dump <m.json>]   (write a MetricsSnapshot after the run)
             [--events <e.ndjson>]   (stream lifecycle events to an NDJSON sink)
             [--event-capacity N]   (in-memory event ring size, default 256)
@@ -82,6 +85,8 @@ completed) as NDJSON. `pgs top` renders a --metrics-dump file as a
 human-readable report: queue/jobs/cache/latency/engine sections plus a
 per-tenant table.
 
+A flag a subcommand does not take is an error, never silently ignored.
+
 Edge lists: one `u v` pair per line, `#`/`%` comments (SNAP/KONECT style).
 ";
 
@@ -92,12 +97,18 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Splits `raw` into positionals and `--flag value` pairs. A flag
+    /// whose name is not in `accepted` is an error, so a misspelt or
+    /// retired flag fails loudly instead of being ignored.
+    fn parse(raw: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(tok) = it.next() {
             if let Some(name) = tok.strip_prefix("--").or_else(|| tok.strip_prefix('-')) {
+                if !accepted.contains(&name) {
+                    return Err(format!("unknown flag {tok} (see pgs --help)"));
+                }
                 let value = it
                     .next()
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -134,7 +145,7 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 
 /// `pgs info <edges.txt>`.
 pub fn info(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[])?;
     let path = args
         .positional
         .first()
@@ -154,7 +165,18 @@ pub fn info(raw: &[String]) -> Result<(), String> {
 /// `pgs summarize <edges.txt> -o out [--algorithm a] [budget flags] ...`:
 /// every algorithm dispatches through `dyn Summarizer`.
 pub fn summarize(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    const FLAGS: &[&str] = &[
+        "o",
+        "out",
+        "budget-ratio",
+        "ratio",
+        "budget-bits",
+        "bits",
+        "budget-supernodes",
+        "targets",
+        "deadline-secs",
+    ];
+    let args = Args::parse(raw, &[FLAGS, ALGORITHM_FLAGS].concat())?;
     let path = args
         .positional
         .first()
@@ -220,6 +242,19 @@ pub fn summarize(raw: &[String]) -> Result<(), String> {
     );
     Ok(())
 }
+
+/// The flags [`build_algorithm`] reads.
+const ALGORITHM_FLAGS: &[&str] = &[
+    "algorithm",
+    "method",
+    "alpha",
+    "beta",
+    "tmax",
+    "c",
+    "iterations",
+    "seed",
+    "threads",
+];
 
 /// Builds the `--algorithm` summarizer from the shared flag set
 /// (`--alpha`, `--beta`, `--tmax`, `--seed`, `--threads`; `--method`
@@ -321,7 +356,10 @@ pub fn query(raw: &[String]) -> Result<(), String> {
     const QUERY_USAGE: &str = "usage: pgs query <out.summary> --type rwr|hop|php|pagerank \
          (--node <q> | --nodes <ids.txt> | --sample <k>) \
          [--top 10] [--seed 0] [--threads N] [--truth <edges.txt>]";
-    let args = Args::parse(raw)?;
+    const FLAGS: &[&str] = &[
+        "type", "node", "nodes", "sample", "top", "seed", "threads", "truth",
+    ];
+    let args = Args::parse(raw, FLAGS)?;
     let path = args.positional.first().ok_or(QUERY_USAGE)?;
     let s = read_summary(path).map_err(|e| format!("reading {path}: {e}"))?;
     let qtype = args
@@ -531,7 +569,27 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
          [--checkpoint-dir D] [--stall-timeout-ms S] [--breaker-window W] \
          [--breaker-threshold F] [--breaker-cooldown-ms C] [--metrics-dump M] \
          [--events E] [--event-capacity N] [flags]";
-    let args = Args::parse(raw)?;
+    const FLAGS: &[&str] = &[
+        "requests",
+        "workers",
+        "inflight",
+        "tenant-deadline-ms",
+        "cache",
+        "queue-depth",
+        "global-queue",
+        "retries",
+        "retry-backoff-ms",
+        "checkpoint-every",
+        "checkpoint-dir",
+        "stall-timeout-ms",
+        "breaker-window",
+        "breaker-threshold",
+        "breaker-cooldown-ms",
+        "metrics-dump",
+        "events",
+        "event-capacity",
+    ];
+    let args = Args::parse(raw, &[FLAGS, ALGORITHM_FLAGS].concat())?;
     let path = args.positional.first().ok_or(SERVE_USAGE)?;
     let reqs_path = args.get("requests").ok_or(SERVE_USAGE)?;
     let g = load_graph(path)?;
@@ -704,7 +762,7 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
 /// one-shot text report.
 pub fn top(raw: &[String]) -> Result<(), String> {
     use pgs_observe::Json;
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[])?;
     let path = args
         .positional
         .first()
@@ -863,7 +921,7 @@ fn histogram_quantiles(h: &pgs_observe::Json) -> (String, String) {
 
 /// `pgs partition <edges.txt> -m 8 [--method louvain]`.
 pub fn partition(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["m", "method", "seed"])?;
     let path = args
         .positional
         .first()
@@ -907,7 +965,11 @@ mod tests {
 
     #[test]
     fn args_parse_flags_and_positionals() {
-        let a = Args::parse(&strs(&["file.txt", "--ratio", "0.4", "-o", "out"])).unwrap();
+        let a = Args::parse(
+            &strs(&["file.txt", "--ratio", "0.4", "-o", "out"]),
+            &["ratio", "o"],
+        )
+        .unwrap();
         assert_eq!(a.positional, vec!["file.txt"]);
         assert_eq!(a.get("ratio"), Some("0.4"));
         assert_eq!(a.get("o"), Some("out"));
@@ -916,12 +978,12 @@ mod tests {
 
     #[test]
     fn args_missing_value_errors() {
-        assert!(Args::parse(&strs(&["--ratio"])).is_err());
+        assert!(Args::parse(&strs(&["--ratio"]), &["ratio"]).is_err());
     }
 
     #[test]
     fn get_parse_defaults_and_errors() {
-        let a = Args::parse(&strs(&["--x", "nope"])).unwrap();
+        let a = Args::parse(&strs(&["--x", "nope"]), &["x"]).unwrap();
         assert_eq!(a.get_parse("y", 7usize).unwrap(), 7);
         assert!(a.get_parse::<f64>("x", 0.0).is_err());
     }
@@ -1261,5 +1323,73 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("out of range"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The flag-like tokens of a usage text: `--name` and `-x`, split at
+    /// the separators the text uses (`[--a | --b]`, `--a/--b`, `(--a,`).
+    fn usage_flags(text: &str) -> Vec<String> {
+        text.split(|c: char| c.is_whitespace() || "[]()|,/;`".contains(c))
+            .map(|t| t.trim_end_matches(['.', ':']))
+            .filter(|t| {
+                t.starts_with('-')
+                    && t.trim_start_matches('-')
+                        .starts_with(|c: char| c.is_ascii_lowercase())
+            })
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_and_every_usage_flag_is_accepted() {
+        const COMMANDS: [&str; 6] = ["info", "summarize", "query", "partition", "serve", "top"];
+        let run = |cmd: &str, args: &[String]| match cmd {
+            "info" => info(args),
+            "summarize" => summarize(args),
+            "query" => query(args),
+            "partition" => partition(args),
+            "serve" => serve(args),
+            "top" => top(args),
+            other => panic!("USAGE names unknown command {other:?}"),
+        };
+        // Flags are checked before any file is read, so a missing input
+        // separates "flag rejected" from "flag accepted, input missing".
+        let missing = "/nonexistent/pgs-flag-check";
+        let accepts = |cmd: &str, flag: &str| match run(cmd, &strs(&[missing, flag, "1"])) {
+            Ok(()) => true,
+            Err(e) => !e.starts_with("unknown flag"),
+        };
+
+        // Retired flags fail loudly instead of being ignored.
+        for flag in ["--evaluator", "--candidate-gen"] {
+            let err = summarize(&strs(&[missing, "-o", "s.summary", flag, "scan"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} (see pgs --help)"));
+        }
+        assert!(!accepts("partition", "--threads"));
+        assert!(!accepts("top", "--metrics-dump"));
+
+        // The synopsis: each command accepts every flag listed under it
+        // (a trailing `   (…)` is a comment, not part of the synopsis).
+        let synopsis = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let synopsis = synopsis.split("\n\n").next().unwrap();
+        let mut cmd = "";
+        let mut checked = 0;
+        for line in synopsis.lines() {
+            if let Some(rest) = line.strip_prefix("  pgs ") {
+                cmd = rest.split_whitespace().next().unwrap();
+            }
+            for flag in usage_flags(line.split("   (").next().unwrap()) {
+                assert!(accepts(cmd, &flag), "pgs {cmd} rejects {flag} from USAGE");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 30, "synopsis parsed too few flags: {checked}");
+
+        // The prose: every flag USAGE mentions is accepted somewhere.
+        for flag in usage_flags(USAGE) {
+            assert!(
+                COMMANDS.iter().any(|c| accepts(c, &flag)),
+                "no command accepts {flag} from USAGE"
+            );
+        }
     }
 }

@@ -389,3 +389,164 @@ fn instrumentation_never_perturbs_byte_identity() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The stable metric key sets of DESIGN.md §14. Renaming, adding or
+/// dropping a registry key without updating these lists (and the docs)
+/// fails `snapshot_and_event_stream_match_the_documented_schema`.
+const EXPECTED_COUNTERS: &[&str] = &[
+    "engine.evals",
+    "engine.iterations",
+    "engine.merges",
+    "engine.phase.candidates_us",
+    "engine.phase.commit_us",
+    "engine.phase.evaluate_us",
+    "engine.phase.sparsify_us",
+    "serve.cache.hits",
+    "serve.cache.misses",
+    "serve.jobs.completed",
+    "serve.jobs.errors",
+    "serve.jobs.quarantined",
+    "serve.jobs.rejected",
+    "serve.jobs.replayed",
+    "serve.jobs.retried",
+    "serve.jobs.shed",
+    "serve.jobs.stalled",
+    "serve.jobs.submitted",
+];
+const EXPECTED_GAUGES: &[&str] = &["serve.jobs.running", "serve.queue.depth"];
+const EXPECTED_HISTOGRAMS: &[&str] = &["serve.latency.run_us", "serve.latency.wait_us"];
+const EXPECTED_SNAPSHOT_KEYS: &[&str] = &[
+    "cache",
+    "event_seq",
+    "journal",
+    "metrics",
+    "queued",
+    "running",
+    "tenants",
+    "workers",
+];
+const EXPECTED_TENANT_KEYS: &[&str] =
+    &["tenant", "submitted", "completed", "wait_secs", "run_secs"];
+const EVENT_KINDS: &[&str] = &[
+    "admitted",
+    "replayed",
+    "queued",
+    "running",
+    "checkpointed",
+    "retried",
+    "shed",
+    "rejected",
+    "stalled",
+    "quarantined",
+    "completed",
+];
+const EXPECTED_EVENT_FIELDS: &[&str] = &["attempt", "job", "kind", "seq", "stop", "tenant"];
+
+/// Exact-set key check: an unknown key fails as surely as a missing
+/// one, so a rename cannot silently fork the schema consumers read.
+fn assert_exact_keys(section: &Json, expected: &[&str], what: &str) {
+    let keys = section.keys();
+    let missing: Vec<&&str> = expected.iter().filter(|k| !keys.contains(k)).collect();
+    let unknown: Vec<&&str> = keys.iter().filter(|k| !expected.contains(k)).collect();
+    assert!(
+        missing.is_empty() && unknown.is_empty(),
+        "{what}: schema drift — missing {missing:?}, unknown {unknown:?} \
+         (update DESIGN.md §14 and the EXPECTED_* lists if intentional)"
+    );
+}
+
+/// The §14 schema, pinned on one `metrics_snapshot().to_json()` and one
+/// NDJSON sink: exact counter, gauge, histogram and top-level key sets,
+/// one overflow bucket per histogram, the tenant entry keys, and for
+/// every event line a known kind, the exact field set and a strictly
+/// increasing seq. The workload retries one job after an injected
+/// panic, so the stream also carries checkpoint and retry events.
+#[test]
+fn snapshot_and_event_stream_match_the_documented_schema() {
+    let dir = std::env::temp_dir().join(format!("pgs-observe-schema-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("events.ndjson");
+    let svc = SummaryService::new(
+        graph(),
+        algorithm(3),
+        ServiceConfig {
+            workers: 2,
+            retry_budget: 1,
+            retry_backoff: Duration::from_millis(1),
+            checkpoint_every: 1,
+            events_path: Some(path.clone()),
+            ..Default::default()
+        },
+    );
+    let plan = Arc::new(FaultPlan::seeded_panic(42, 1));
+    let handles: Vec<_> = (0..4u32)
+        .map(|i| {
+            let mut req = SummarizeRequest::new(Budget::Ratio(0.4)).targets(&[i]);
+            if i == 0 {
+                req = req.fault_plan(Arc::clone(&plan));
+            }
+            let tenant = if i % 2 == 0 { "alice" } else { "bob" };
+            svc.submit(SubmitRequest::new(tenant, req))
+                .expect("admitted")
+        })
+        .collect();
+    for h in &handles {
+        h.wait()
+            .expect("run (the faulted job retries to completion)");
+    }
+    assert_eq!(plan.armed(), 0, "the injected panic fired");
+    let snapshot_json = svc.metrics_snapshot().to_json();
+    drop(svc);
+
+    let root = Json::parse(&snapshot_json).expect("snapshot JSON parses");
+    assert_exact_keys(&root, EXPECTED_SNAPSHOT_KEYS, "snapshot");
+    let metrics = root.get("metrics").expect("snapshot.metrics");
+    let counters = metrics.get("counters").expect("metrics.counters");
+    assert_exact_keys(counters, EXPECTED_COUNTERS, "counters");
+    let gauges = metrics.get("gauges").expect("metrics.gauges");
+    assert_exact_keys(gauges, EXPECTED_GAUGES, "gauges");
+    let hists = metrics.get("histograms").expect("metrics.histograms");
+    assert_exact_keys(hists, EXPECTED_HISTOGRAMS, "histograms");
+    for key in EXPECTED_HISTOGRAMS {
+        let h = hists.get(key).expect("histogram entry");
+        let bounds = h.get("bounds").and_then(Json::as_arr).expect("bounds");
+        let counts = h.get("counts").and_then(Json::as_arr).expect("counts");
+        assert_eq!(
+            counts.len(),
+            bounds.len() + 1,
+            "{key}: counts must carry one overflow bucket"
+        );
+    }
+    let tenants = root.get("tenants").and_then(Json::as_arr).expect("tenants");
+    assert_eq!(tenants.len(), 2, "alice and bob");
+    for t in tenants {
+        for key in EXPECTED_TENANT_KEYS {
+            assert!(t.get(key).is_some(), "tenant entry missing {key:?}");
+        }
+    }
+
+    let text = std::fs::read_to_string(&path).expect("sink written");
+    let mut last_seq = 0.0;
+    let mut kinds = std::collections::BTreeSet::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let ev = Json::parse(line).expect("event line parses");
+        assert_exact_keys(&ev, EXPECTED_EVENT_FIELDS, "event");
+        let seq = ev.get("seq").and_then(Json::as_f64).expect("event.seq");
+        assert!(seq > last_seq, "event seq must strictly increase");
+        last_seq = seq;
+        let kind = ev.get("kind").and_then(Json::as_str).expect("event.kind");
+        assert!(EVENT_KINDS.contains(&kind), "unknown event kind {kind:?}");
+        kinds.insert(kind.to_string());
+    }
+    for kind in [
+        "admitted",
+        "queued",
+        "running",
+        "checkpointed",
+        "retried",
+        "completed",
+    ] {
+        assert!(kinds.contains(kind), "event stream has no {kind:?} event");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

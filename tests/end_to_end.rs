@@ -155,7 +155,7 @@ fn distributed_pipeline_runs_all_backends() {
         Backend::Subgraph(Method::ShpKL),
     ];
     for backend in backends {
-        let cluster = Cluster::build(&g, 4, budget, &backend, 9);
+        let cluster = Cluster::try_build(&g, 4, budget, &backend, 9).expect("valid budget");
         let r = cluster.rwr(42, 0.05);
         assert_eq!(r.len(), 1000);
         assert!(r.iter().all(|x| x.is_finite()));
@@ -169,14 +169,16 @@ fn distributed_pipeline_runs_all_backends() {
 fn distributed_personalization_beats_replicated_ssumm() {
     let g = planted_partition(2_000, 20, 14_000, 2_000, 7);
     let budget = 0.4 * g.size_bits();
-    let pegasus = Cluster::build(
+    let pegasus = Cluster::try_build(
         &g,
         4,
         budget,
         &Backend::Pegasus(PegasusConfig::default()),
         1,
-    );
-    let ssumm = Cluster::build(&g, 4, budget, &Backend::Ssumm(SsummConfig::default()), 1);
+    )
+    .expect("valid budget");
+    let ssumm = Cluster::try_build(&g, 4, budget, &Backend::Ssumm(SsummConfig::default()), 1)
+        .expect("valid budget");
     let queries: Vec<NodeId> = (0..20).map(|i| i * 97 % 2000).collect();
     let mut p_err = 0.0;
     let mut s_err = 0.0;
